@@ -16,6 +16,9 @@
 //!   the [`mod@encode`] module docs),
 //! * [`State`] and [`State::next`] — the fetch–decode–execute next-state
 //!   function `Next` used throughout the paper's theorems,
+//! * [`Machine`] — the surface every ISA engine shares (run, halt
+//!   probe, PC, memory word, I/O trace, stats, state capture), so run
+//!   loops and checkpointing are written once over all engines,
 //! * [`Memory`] — a sparse byte-addressed 4 GiB memory,
 //! * [`asm`] — a small two-pass assembler with labels and pseudo-
 //!   instructions, used by the compiler backend and the system-call code.
@@ -49,6 +52,7 @@ pub mod disasm;
 pub mod encode;
 mod exec;
 mod insn;
+mod machine;
 mod mem;
 mod state;
 pub mod trace;
@@ -58,6 +62,7 @@ pub use disasm::{disassemble, dump};
 pub use encode::{decode, encode};
 pub use exec::{alu, shifter, AluOut};
 pub use insn::{Func, Instr, Reg, Ri, Shift};
+pub use machine::{Engine, Machine};
 pub use mem::Memory;
 pub use state::{IoEvent, State, StepOutcome};
 pub use trace::{MemOp, NoTrace, RetireEvent, RetireRing, Tracer};

@@ -104,6 +104,17 @@ impl<T: Tracer> Tracer for &mut T {
     }
 }
 
+/// A sink that may be absent (an optional retire log or profile).
+impl<T: Tracer> Tracer for Option<T> {
+    const ACTIVE: bool = T::ACTIVE;
+    #[inline]
+    fn retire(&mut self, ev: &RetireEvent) {
+        if let Some(t) = self {
+            t.retire(ev);
+        }
+    }
+}
+
 /// Fan-out to two sinks.
 impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     const ACTIVE: bool = A::ACTIVE || B::ACTIVE;

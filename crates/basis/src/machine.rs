@@ -16,7 +16,7 @@
 //! (theorems (11)–(13)) that lets the paper replace `installedAg` by
 //! `initAg`.
 
-use ag32::{IoEvent, State};
+use ag32::{IoEvent, Machine, State};
 use cakeml::TargetLayout;
 
 use crate::fs::FsState;
@@ -90,24 +90,30 @@ pub fn extract_streams(events: &[IoEvent]) -> (Vec<u8>, Vec<u8>) {
     (stdout, stderr)
 }
 
-/// Exit classification shared by every ISA-engine runner — the plain
-/// and observed `run_to_halt` variants here, the jet path in
-/// `silver-stack`, and snapshot resume. `fuel_left` says whether the
-/// run stopped with budget remaining; a non-halted state with no fuel
-/// left is [`ExitStatus::OutOfFuel`]. Keeping this in one place is what
-/// makes a resumed run classify exactly like an uninterrupted one.
+/// Exit classification shared by every ISA engine — the `run_to_halt`
+/// variants here, the sliced run loop behind `silver-stack` and the
+/// service (reference, jet and lockstep alike), and snapshot resume.
+/// `fuel_left` says whether the run stopped with budget remaining; a
+/// non-halted machine with no fuel left is [`ExitStatus::OutOfFuel`].
+/// Keeping this in one place is what makes a resumed run classify
+/// exactly like an uninterrupted one.
 #[must_use]
-pub fn classify_exit(state: &State, layout: &TargetLayout, fuel_left: bool) -> ExitStatus {
-    classify(state, layout, fuel_left)
-}
-
-fn classify(state: &State, layout: &TargetLayout, fuel_left: bool) -> ExitStatus {
-    if !fuel_left && !state.is_halted() {
+pub fn classify_exit<M: Machine>(m: &M, layout: &TargetLayout, fuel_left: bool) -> ExitStatus {
+    if !fuel_left && !m.is_halted() {
         return ExitStatus::OutOfFuel;
     }
-    let code = state.mem.read_word(layout.exit_code_addr);
-    if state.pc == layout.halt_addr && code != EXIT_UNSET {
-        ExitStatus::Exited(code as u8)
+    halt_status(m.pc(), m.read_word(layout.exit_code_addr), layout)
+}
+
+/// The verdict on a machine that stopped at `pc` with `exit_word` in
+/// the exit-code slot: it exited only if it sits in the halt loop
+/// *and* the program stored a code there. Every layer — the ISA
+/// engines through [`classify_exit`], and the circuit and Verilog
+/// simulations directly — decides exits with this one predicate.
+#[must_use]
+pub fn halt_status(pc: u32, exit_word: u32, layout: &TargetLayout) -> ExitStatus {
+    if pc == layout.halt_addr && exit_word != EXIT_UNSET {
+        ExitStatus::Exited(exit_word as u8)
     } else {
         ExitStatus::Wedged
     }
@@ -124,15 +130,12 @@ pub fn run_to_halt(state: State, layout: &TargetLayout, fuel: u64) -> MachineRes
 /// [`EdgeSet`](ag32::EdgeSet) here to collect PC-edge coverage.
 #[must_use]
 pub fn run_to_halt_with<C: ag32::Coverage>(
-    mut state: State,
+    state: State,
     layout: &TargetLayout,
     fuel: u64,
     cov: &mut C,
 ) -> MachineResult {
-    let instructions = state.run_with(fuel, cov);
-    let exit = classify(&state, layout, instructions < fuel);
-    let (stdout, stderr) = extract_streams(&state.io_events);
-    MachineResult { exit, stdout, stderr, instructions, state }
+    run_to_halt_observed(state, layout, fuel, cov, &mut ag32::NoTrace)
 }
 
 /// [`run_to_halt_with`] plus an [`ag32::Tracer`] observing every retired
@@ -148,7 +151,7 @@ pub fn run_to_halt_observed<C: ag32::Coverage, T: ag32::Tracer>(
     tracer: &mut T,
 ) -> MachineResult {
     let instructions = state.run_traced(fuel, cov, tracer);
-    let exit = classify(&state, layout, instructions < fuel);
+    let exit = classify_exit(&state, layout, instructions < fuel);
     let (stdout, stderr) = extract_streams(&state.io_events);
     MachineResult { exit, stdout, stderr, instructions, state }
 }
@@ -226,7 +229,7 @@ pub fn run_to_halt_traced(
         }
         ev.fds = device_summary(&state, layout);
     }
-    let exit = classify(&state, layout, instructions < fuel);
+    let exit = classify_exit(&state, layout, instructions < fuel);
     let (stdout, stderr) = extract_streams(&state.io_events);
     MachineResult { exit, stdout, stderr, instructions, state }
 }
@@ -267,10 +270,10 @@ pub fn run_with_oracle_traced(
     let mut instructions = 0u64;
     let exit = loop {
         if instructions >= fuel {
-            break classify(&state, layout, false);
+            break classify_exit(&state, layout, false);
         }
         if state.is_halted() {
-            break classify(&state, layout, true);
+            break classify_exit(&state, layout, true);
         }
         if let Some((_, name)) = entries.iter().find(|(a, _)| *a == state.pc) {
             // The interference-oracle step: read the call's arguments

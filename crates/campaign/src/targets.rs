@@ -20,6 +20,7 @@
 //! The full end-to-end target (theorem (8)) lives in the `silver-stack`
 //! crate — it needs the stack composition, which sits above this crate.
 
+use std::ops::ControlFlow;
 
 use basis::{build_image, run_to_halt_with, run_with_oracle, BasisHost, ExitStatus, FsState};
 use cakeml::{
@@ -27,6 +28,7 @@ use cakeml::{
     TargetLayout,
 };
 use silver::env::{Latency, MemEnvConfig};
+use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use testkit::prop::Ctx;
 
 use crate::coverage::CovSnap;
@@ -436,32 +438,50 @@ impl Target for JetTarget {
         isa.run_with(fuel, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
-        // The anchored shadow keeps a rolling checkpoint of the last
-        // verified-good reference state, so a divergence can be replayed
-        // from the anchor instead of from boot (cf. `jet::run_shadow`).
-        match jet::run_shadow_anchored(&state, fuel, 1, 0, (fuel / 4).max(1)) {
-            Ok(_) => CaseOutcome::pass(cov),
-            Err(div) => {
-                let mut message = div.forensics.render();
-                if let Some(anchor) = &div.anchor {
-                    let remaining = fuel.saturating_sub(div.anchor_retired);
-                    let replay = jet::run_shadow(anchor, remaining, 1, 0);
+        // The lockstep runs in quarter-fuel slices through the stack's
+        // run loop, keeping the reference state at each boundary, so a
+        // divergence replays from its anchor — the last verified-good
+        // boundary — instead of from boot.
+        let plan = Plan {
+            layout: &TargetLayout::default(),
+            engine: ag32::Engine::Jet,
+            shadow: Some(Shadow { sample: 1, fault_xor: 0 }),
+            fuel,
+            every: (fuel / 4).max(1),
+        };
+        let mut anchor = LastBoundary(None);
+        match silver::exec::run(state, &plan, &mut anchor) {
+            RunEnd::Diverged(fx) => {
+                let mut message = fx.render();
+                if let Some(anchor) = anchor.0 {
+                    let at = anchor.instructions_retired;
+                    let replay = jet::run_shadow(&anchor, fuel - at, 1, 0);
                     message.push_str(&format!(
-                        "\nanchored replay from retire {}: {} (saved {} boot retires)\n",
-                        div.anchor_retired,
+                        "\nanchored replay from retire {at}: {} (saved {at} boot retires)\n",
                         if replay.is_err() {
                             "reproduced"
                         } else {
                             "not reproduced (translation-cache history dependent; replay from boot)"
                         },
-                        div.anchor_retired,
                     ));
-                    return CaseOutcome::fail(cov, "jet vs isa", message)
-                        .with_fuel_saved(div.anchor_retired);
+                    return CaseOutcome::fail(cov, "jet vs isa", message).with_fuel_saved(at);
                 }
                 CaseOutcome::fail(cov, "jet vs isa", message)
             }
+            _ => CaseOutcome::pass(cov),
         }
+    }
+}
+
+/// Run hooks keeping the machine state at the last slice boundary.
+struct LastBoundary(Option<ag32::State>);
+
+impl Hooks for LastBoundary {
+    type Stop = std::convert::Infallible;
+
+    fn boundary<M: ag32::Machine>(&mut self, m: &M) -> ControlFlow<Self::Stop> {
+        self.0 = Some(m.capture());
+        ControlFlow::Continue(())
     }
 }
 
@@ -486,7 +506,7 @@ impl Target for SnapTarget {
     }
 
     fn run_case(&self, ctx: &mut Ctx) -> CaseOutcome {
-        use silver::snapshot::{SnapEngine, Snapshot};
+        use silver::snapshot::Snapshot;
 
         let state = gen::isa_state(ctx);
         let fuel: u64 = ctx.gen_range(50u64..=2000);
@@ -511,14 +531,14 @@ impl Target for SnapTarget {
         let snap_ref = Snapshot::capture(&pre);
         let mut jet_pre = jet::Jet::from_state(&state);
         jet_pre.run(k);
-        let snap_jet = Snapshot::capture_jet(&jet_pre);
+        let snap_jet = Snapshot::capture(&jet_pre);
 
         // Byte stability: once the engine tag is normalised, the two
         // captures must serialise to identical bytes (no host ordering,
         // no engine-private state may leak into the format).
         let bytes = snap_ref.to_bytes();
         let jet_as_ref =
-            Snapshot { state: snap_jet.state.clone(), engine: SnapEngine::Ref, fs: None };
+            Snapshot { state: snap_jet.state.clone(), engine: ag32::Engine::Ref, fs: None };
         if bytes != jet_as_ref.to_bytes() {
             return CaseOutcome::fail(
                 cov,
@@ -557,7 +577,7 @@ impl Target for SnapTarget {
             );
         }
 
-        let mut resumed_jet = restored.restore_jet();
+        let mut resumed_jet = jet::Jet::from_state(&restored.restore());
         resumed_jet.run(remaining);
         let jet_final = resumed_jet.to_state();
         if !jet_final.isa_visible_eq(&base)

@@ -30,7 +30,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use service::{serve, Endpoint, ServeEngine, Service, ServiceConfig};
+use service::{serve, Endpoint, Engine, Service, ServiceConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -67,8 +67,8 @@ fn parse_args() -> Options {
             "--checkpoint-every" => opts.cfg.checkpoint_every = num(args.next()).max(1),
             "--engine" => {
                 opts.cfg.default_engine = match need(args.next()).as_str() {
-                    "ref" => ServeEngine::Ref,
-                    "jet" => ServeEngine::Jet,
+                    "ref" => Engine::Ref,
+                    "jet" => Engine::Jet,
                     _ => usage(),
                 }
             }

@@ -49,7 +49,7 @@ pub use check::{
     EndToEndReport, Layer, Workload,
 };
 pub use fuzz::{full_registry, EndToEndTarget};
-pub use silver::snapshot::{SnapEngine, Snapshot, SnapshotError};
+pub use silver::snapshot::{Snapshot, SnapshotError};
 pub use stack::{
     Backend, Engine, Observations, Observe, RunConfig, Stack, StackError, StackResult,
     DEFAULT_CHECKPOINT_EVERY,

@@ -3,15 +3,15 @@
 use std::fmt;
 use std::fs::File;
 use std::io::BufWriter;
-use std::path::PathBuf;
+use std::ops::ControlFlow;
+use std::path::{Path, PathBuf};
 
-use std::path::Path;
-
-use ag32::State;
-use basis::{build_image, classify_exit, extract_streams, run_to_halt, ExitStatus, ImageError};
+use ag32::{Machine, State};
+use basis::{build_image, extract_streams, halt_status, ExitStatus, ImageError};
 use cakeml::{CompileError, CompiledProgram, CompilerConfig, TargetLayout};
 use obs::CycleProfiler;
 use silver::env::{Latency, MemEnvConfig};
+use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::LockstepError;
 use silver::snapshot::{Snapshot, SnapshotError};
 use silver::trace::{PcSampler, RtlVcd, VerilogVcd};
@@ -32,32 +32,9 @@ pub enum Backend {
 }
 
 /// Which *implementation* of the ISA layer executes the program when
-/// [`Backend::Isa`] is selected. Both implement the same `Next`
-/// semantics; [`Engine::Jet`] trades the step-at-a-time reference
-/// interpreter for a predecoded translation cache (theorem J: jet ≡
-/// Next, checkable at runtime via [`RunConfig::shadow`]). The hardware
-/// backends ignore this field.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The reference interpreter (`ag32::State::next`), one decoded
-    /// instruction at a time. The specification-side engine.
-    #[default]
-    Ref,
-    /// The [`jet`] translation-cache engine: decode once per basic
-    /// block, execute lowered ops, invalidate on self-modifying stores.
-    Jet,
-}
-
-impl Engine {
-    /// Stable lower-case name used by `silverc --engine` and reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Ref => "ref",
-            Engine::Jet => "jet",
-        }
-    }
-}
+/// [`Backend::Isa`] is selected (theorem J: jet ≡ Next, checkable at
+/// runtime via [`RunConfig::shadow`]). The hardware backends ignore it.
+pub use ag32::Engine;
 
 /// Execution limits and environment behaviour.
 #[derive(Clone, Debug)]
@@ -122,11 +99,25 @@ impl RunConfig {
         self
     }
 
-    /// The `(file, cadence)` pair when checkpointing to disk is on.
-    fn checkpoint_plan(&self) -> Option<(&Path, u64)> {
-        self.checkpoint
-            .as_deref()
-            .map(|p| (p, self.checkpoint_interval.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1)))
+    /// The run plan for an ISA-level run: the lockstep when shadowing
+    /// the jet engine, slices of the checkpoint cadence (one slice when
+    /// neither a file nor an interval asks for boundaries).
+    fn plan<'a>(&self, layout: &'a TargetLayout) -> Plan<'a> {
+        let every = match (&self.checkpoint, self.checkpoint_interval) {
+            (_, Some(n)) => n,
+            (Some(_), None) => DEFAULT_CHECKPOINT_EVERY,
+            (None, None) => u64::MAX,
+        };
+        Plan {
+            layout,
+            engine: self.engine,
+            shadow: self
+                .shadow
+                .filter(|_| self.engine == Engine::Jet)
+                .map(|sample| Shadow { sample, fault_xor: 0 }),
+            fuel: self.fuel,
+            every,
+        }
     }
 }
 
@@ -346,16 +337,7 @@ impl Stack {
         rc: &RunConfig,
     ) -> Result<StackResult, StackError> {
         match backend {
-            Backend::Isa => match rc.engine {
-                Engine::Ref => match rc.checkpoint_plan() {
-                    Some((path, every)) => self.run_ref_checkpointed(image, rc.fuel, every, path),
-                    None => {
-                        let r = run_to_halt(image, &self.layout, rc.fuel);
-                        Ok(isa_result(r))
-                    }
-                },
-                Engine::Jet => self.jet_result(image, rc),
-            },
+            Backend::Isa => self.run_isa(image, rc),
             Backend::Rtl => {
                 let (rtl_state, env, cycles) =
                     silver::run_rtl_program(&image, rc.env.clone(), rc.max_cycles)?;
@@ -434,172 +416,77 @@ impl Stack {
                     );
                     obs.syscalls = Some(trace);
                 }
-                let r = match (ocfg.retire_log > 0, ocfg.profile) {
-                    (true, true) => {
-                        let mut ring = ag32::RetireRing::new(ocfg.retire_log);
-                        let mut prof = CycleProfiler::new(compiled.symbols.to_ranges());
-                        let r = basis::run_to_halt_observed(
-                            image,
-                            &self.layout,
-                            rc.fuel,
-                            &mut ag32::NoCoverage,
-                            &mut (&mut ring, &mut prof),
-                        );
-                        obs.retire_log = Some(ring);
-                        obs.profile = Some(prof);
-                        r
-                    }
-                    (true, false) => {
-                        let mut ring = ag32::RetireRing::new(ocfg.retire_log);
-                        let r = basis::run_to_halt_observed(
-                            image,
-                            &self.layout,
-                            rc.fuel,
-                            &mut ag32::NoCoverage,
-                            &mut ring,
-                        );
-                        obs.retire_log = Some(ring);
-                        r
-                    }
-                    (false, true) => {
-                        let mut prof = CycleProfiler::new(compiled.symbols.to_ranges());
-                        let r = basis::run_to_halt_observed(
-                            image,
-                            &self.layout,
-                            rc.fuel,
-                            &mut ag32::NoCoverage,
-                            &mut prof,
-                        );
-                        obs.profile = Some(prof);
-                        r
-                    }
-                    (false, false) => run_to_halt(image, &self.layout, rc.fuel),
-                };
+                let mut ring =
+                    (ocfg.retire_log > 0).then(|| ag32::RetireRing::new(ocfg.retire_log));
+                let mut prof =
+                    ocfg.profile.then(|| CycleProfiler::new(compiled.symbols.to_ranges()));
+                let r = basis::run_to_halt_observed(
+                    image,
+                    &self.layout,
+                    rc.fuel,
+                    &mut ag32::NoCoverage,
+                    &mut (&mut ring, &mut prof),
+                );
+                obs.retire_log = ring;
+                obs.profile = prof;
                 match jet_image {
-                    Some(img) => self.jet_result(img, rc)?,
+                    Some(img) => self.run_isa(img, rc)?,
                     None => isa_result(r),
                 }
             }
             Backend::Rtl => {
-                let circuit = silver::silver_cpu();
-                let (rtl_state, env, cycles) = match (&ocfg.vcd, ocfg.profile) {
-                    (Some(path), true) => {
-                        let vcd = RtlVcd::new(
-                            BufWriter::new(File::create(path)?),
-                            &circuit,
-                            "silver_cpu",
-                        )?;
-                        let sampler = PcSampler::new(CycleProfiler::new(
-                            compiled.symbols.to_ranges(),
-                        ));
-                        let mut pair = (vcd, sampler);
-                        let out = silver::run_rtl_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut pair,
-                        )?;
-                        pair.0.finish()?;
-                        obs.vcd = Some(path.clone());
-                        obs.profile = Some(pair.1.profiler);
-                        out
-                    }
-                    (Some(path), false) => {
-                        let mut vcd = RtlVcd::new(
-                            BufWriter::new(File::create(path)?),
-                            &circuit,
-                            "silver_cpu",
-                        )?;
-                        let out = silver::run_rtl_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut vcd,
-                        )?;
-                        vcd.finish()?;
-                        obs.vcd = Some(path.clone());
-                        out
-                    }
-                    (None, true) => {
-                        let mut sampler = PcSampler::new(CycleProfiler::new(
-                            compiled.symbols.to_ranges(),
-                        ));
-                        let out = silver::run_rtl_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut sampler,
-                        )?;
-                        obs.profile = Some(sampler.profiler);
-                        out
-                    }
-                    (None, false) => {
-                        silver::run_rtl_program(&image, rc.env.clone(), rc.max_cycles)?
-                    }
+                let vcd = match &ocfg.vcd {
+                    Some(path) => Some(RtlVcd::new(
+                        BufWriter::new(File::create(path)?),
+                        &silver::silver_cpu(),
+                        "silver_cpu",
+                    )?),
+                    None => None,
                 };
+                let mut observers = (vcd, self.sampler(compiled, ocfg));
+                let (rtl_state, env, cycles) = silver::run_rtl_program_observed(
+                    &image,
+                    rc.env.clone(),
+                    rc.max_cycles,
+                    &mut observers,
+                )?;
+                if let Some(vcd) = observers.0 {
+                    vcd.finish()?;
+                    obs.vcd = ocfg.vcd.clone();
+                }
+                obs.profile = observers.1.map(|s| s.profiler);
                 self.rtl_result(&rtl_state, &env, cycles)?
             }
             Backend::Verilog => {
-                let circuit = silver::silver_cpu();
-                let (fin, env, cycles) = match (&ocfg.vcd, ocfg.profile) {
-                    (Some(path), true) => {
-                        let vcd = VerilogVcd::new(
-                            BufWriter::new(File::create(path)?),
-                            &circuit,
-                            "silver_cpu",
-                        )?;
-                        let sampler = PcSampler::new(CycleProfiler::new(
-                            compiled.symbols.to_ranges(),
-                        ));
-                        let mut pair = (vcd, sampler);
-                        let out = silver::run_verilog_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut pair,
-                        )?;
-                        pair.0.finish()?;
-                        obs.vcd = Some(path.clone());
-                        obs.profile = Some(pair.1.profiler);
-                        out
-                    }
-                    (Some(path), false) => {
-                        let mut vcd = VerilogVcd::new(
-                            BufWriter::new(File::create(path)?),
-                            &circuit,
-                            "silver_cpu",
-                        )?;
-                        let out = silver::run_verilog_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut vcd,
-                        )?;
-                        vcd.finish()?;
-                        obs.vcd = Some(path.clone());
-                        out
-                    }
-                    (None, true) => {
-                        let mut sampler = PcSampler::new(CycleProfiler::new(
-                            compiled.symbols.to_ranges(),
-                        ));
-                        let out = silver::run_verilog_program_observed(
-                            &image,
-                            rc.env.clone(),
-                            rc.max_cycles,
-                            &mut sampler,
-                        )?;
-                        obs.profile = Some(sampler.profiler);
-                        out
-                    }
-                    (None, false) => {
-                        silver::run_verilog_program(&image, rc.env.clone(), rc.max_cycles)?
-                    }
+                let vcd = match &ocfg.vcd {
+                    Some(path) => Some(VerilogVcd::new(
+                        BufWriter::new(File::create(path)?),
+                        &silver::silver_cpu(),
+                        "silver_cpu",
+                    )?),
+                    None => None,
                 };
+                let mut observers = (vcd, self.sampler(compiled, ocfg));
+                let (fin, env, cycles) = silver::run_verilog_program_observed(
+                    &image,
+                    rc.env.clone(),
+                    rc.max_cycles,
+                    &mut observers,
+                )?;
+                if let Some(vcd) = observers.0 {
+                    vcd.finish()?;
+                    obs.vcd = ocfg.vcd.clone();
+                }
+                obs.profile = observers.1.map(|s| s.profiler);
                 self.verilog_result(&fin, &env, cycles)
             }
         };
         Ok((result, obs))
+    }
+
+    /// The hardware backends' cycle profiler, when profiling is asked for.
+    fn sampler(&self, compiled: &CompiledProgram, ocfg: &Observe) -> Option<PcSampler> {
+        ocfg.profile.then(|| PcSampler::new(CycleProfiler::new(compiled.symbols.to_ranges())))
     }
 
     /// Resumes a checkpoint on the configured engine — including
@@ -622,32 +509,7 @@ impl Stack {
         snap: &Snapshot,
         rc: &RunConfig,
     ) -> Result<StackResult, StackError> {
-        let remaining = rc.fuel.saturating_sub(snap.retired());
-        match rc.engine {
-            Engine::Ref => match rc.checkpoint_plan() {
-                Some((path, every)) => {
-                    self.run_ref_checkpointed(snap.restore(), remaining, every, path)
-                }
-                None => {
-                    let mut state = snap.restore();
-                    let n = state.run(remaining);
-                    Ok(self.finish_ref(&state, n < remaining))
-                }
-            },
-            Engine::Jet => {
-                if let Some(sample) = rc.shadow {
-                    self.shadow_check(&snap.restore(), remaining, sample, rc)?;
-                }
-                let mut j = snap.restore_jet();
-                match rc.checkpoint_plan() {
-                    Some((path, every)) => self.run_jet_checkpointed(j, remaining, every, path),
-                    None => {
-                        let n = j.run(remaining);
-                        Ok(self.classify_jet(&j, n < remaining))
-                    }
-                }
-            }
-        }
+        self.run_isa(snap.restore(), rc)
     }
 
     /// [`resume_snapshot`](Stack::resume_snapshot) straight from a
@@ -661,112 +523,43 @@ impl Stack {
         self.resume_snapshot(&Snapshot::read_from(path)?, rc)
     }
 
-    /// Reference-interpreter run in checkpoint-sized slices, rewriting
-    /// the rolling snapshot after each full slice. Slicing cannot
-    /// change behaviour: `State::run` is deterministic and stops
-    /// pre-step on halt, so N slices of M retires classify exactly like
-    /// one run of N·M — `tests/checkpoint.rs` holds it to that.
-    fn run_ref_checkpointed(
-        &self,
-        mut state: State,
-        fuel: u64,
-        every: u64,
-        path: &Path,
-    ) -> Result<StackResult, StackError> {
-        let mut done = 0u64;
-        while done < fuel {
-            let chunk = every.min(fuel - done);
-            let n = state.run(chunk);
-            done += n;
-            if n < chunk {
-                break;
-            }
-            Snapshot::capture(&state).write_rolling(path)?;
-        }
-        Ok(self.finish_ref(&state, done < fuel))
-    }
-
-    /// Classification + stream extraction off a reference state, shared
-    /// by the chunked and resumed run paths. Delegates the exit verdict
-    /// to [`basis::classify_exit`] — the same function `run_to_halt`
-    /// uses — so every path agrees on `Exited`/`Wedged`/`OutOfFuel`.
-    fn finish_ref(&self, state: &State, fuel_left: bool) -> StackResult {
-        let (stdout, stderr) = extract_streams(&state.io_events);
-        StackResult {
-            exit: classify_exit(state, &self.layout, fuel_left),
-            stdout,
-            stderr,
-            instructions: state.instructions_retired,
-            cycles: None,
-            stats: Some(state.stats.clone()),
-        }
-    }
-
-    /// Runs a loaded image on the [`jet`] translation-cache engine,
-    /// classifying the end state exactly like the reference machine
-    /// runner does. When [`RunConfig::shadow`] is set, a lockstep
-    /// shadow run against `ag32::State::next` happens first and any
-    /// divergence aborts with the forensics report — the plain run only
-    /// proceeds once theorem J held over the whole execution.
-    fn jet_result(&self, image: State, rc: &RunConfig) -> Result<StackResult, StackError> {
-        if let Some(sample) = rc.shadow {
-            self.shadow_check(&image, rc.fuel, sample, rc)?;
-        }
-        let mut j = jet::Jet::from_state(&image);
-        match rc.checkpoint_plan() {
-            Some((path, every)) => self.run_jet_checkpointed(j, rc.fuel, every, path),
-            None => {
-                let retired = j.run(rc.fuel);
-                Ok(self.classify_jet(&j, retired < rc.fuel))
-            }
-        }
-    }
-
-    /// The lockstep shadow oracle, checkpoint-anchored when a cadence
-    /// is configured: on a divergence the last good anchor (a verified
-    /// reference state) is replayed to confirm the bug reproduces from
-    /// the checkpoint — replaying `divergent − anchor` retires instead
-    /// of `divergent` from boot — and, when a checkpoint file is
-    /// configured, the anchor is written there so `silverc --resume`
-    /// can re-enter the failure neighbourhood directly.
-    fn shadow_check(
-        &self,
-        image: &State,
-        fuel: u64,
-        sample: u64,
-        rc: &RunConfig,
-    ) -> Result<(), StackError> {
-        let every = match (rc.checkpoint_interval, &rc.checkpoint) {
-            (Some(n), _) => n.max(1),
-            (None, Some(_)) => DEFAULT_CHECKPOINT_EVERY,
-            (None, None) => {
-                // No anchoring configured: plain whole-run shadow.
-                return jet::run_shadow(image, fuel, sample, 0)
-                    .map(|_| ())
-                    .map_err(StackError::Divergence);
-            }
-        };
-        match jet::run_shadow_anchored(image, fuel, sample, 0, every) {
-            Ok(_) => Ok(()),
-            Err(div) => {
-                let mut fx = div.forensics;
-                if let Some(anchor) = div.anchor.as_deref() {
-                    let step = fx.divergent_step.unwrap_or(div.anchor_retired);
-                    let replay_fuel = step.saturating_sub(div.anchor_retired).saturating_add(8);
-                    let reproduced = jet::run_shadow(anchor, replay_fuel, sample, 0).is_err();
+    /// Runs a boot image or a restored checkpoint on the configured
+    /// engine through the shared slice loop ([`silver::exec::run`]),
+    /// rewriting the rolling checkpoint file at every boundary. A
+    /// shadowed jet run is the lockstep itself: its result is returned
+    /// only once theorem J held over the whole execution, and a
+    /// divergence is replayed from its anchor — the last boundary, also
+    /// the last checkpoint written — to confirm it reproduces there.
+    fn run_isa(&self, start: State, rc: &RunConfig) -> Result<StackResult, StackError> {
+        let plan = rc.plan(&self.layout);
+        let mut hooks =
+            Rolling { path: rc.checkpoint.as_deref(), shadowed: plan.shadow.is_some(), anchor: None };
+        match silver::exec::run(start, &plan, &mut hooks) {
+            RunEnd::Done(f) => Ok(StackResult {
+                exit: f.exit,
+                stdout: f.stdout,
+                stderr: f.stderr,
+                instructions: f.instructions,
+                cycles: None,
+                stats: Some(f.stats),
+            }),
+            RunEnd::Stopped(e) => Err(StackError::Snapshot(e)),
+            RunEnd::Diverged(mut fx) => {
+                if let (Some(anchor), Some(sh)) = (hooks.anchor, plan.shadow) {
+                    let at = anchor.retired();
+                    let step = fx.divergent_step.unwrap_or(at);
+                    let replay_fuel = step.saturating_sub(at).saturating_add(8);
+                    let reproduced = jet::run_shadow(&anchor.restore(), replay_fuel, sh.sample, 0)
+                        .is_err();
                     fx.notes.push(format!(
-                        "checkpoint-anchored replay from retire {}: {} within {} retires (saved {} boot retires)",
-                        div.anchor_retired,
+                        "checkpoint-anchored replay from retire {at}: {} within {replay_fuel} retires (saved {at} boot retires)",
                         if reproduced {
                             "divergence reproduced"
                         } else {
                             "not reproduced (translation-cache history dependent; replay from boot)"
                         },
-                        replay_fuel,
-                        div.anchor_retired,
                     ));
                     if let Some(path) = rc.checkpoint.as_deref() {
-                        Snapshot::capture(anchor).write_rolling(path)?;
                         fx.notes.push(format!(
                             "anchor checkpoint written to {} (resume with --resume to replay)",
                             path.display()
@@ -775,58 +568,6 @@ impl Stack {
                 }
                 Err(StackError::Divergence(fx))
             }
-        }
-    }
-
-    /// Jet-engine run in checkpoint-sized slices; see
-    /// [`run_ref_checkpointed`](Stack::run_ref_checkpointed). Each
-    /// snapshot goes through [`Snapshot::capture_jet`], whose
-    /// memory write-back makes the bytes identical to a reference
-    /// checkpoint of the same logical state.
-    fn run_jet_checkpointed(
-        &self,
-        mut j: jet::Jet,
-        fuel: u64,
-        every: u64,
-        path: &Path,
-    ) -> Result<StackResult, StackError> {
-        let mut done = 0u64;
-        while done < fuel {
-            let chunk = every.min(fuel - done);
-            let n = j.run(chunk);
-            done += n;
-            if n < chunk {
-                break;
-            }
-            Snapshot::capture_jet(&j).write_rolling(path)?;
-        }
-        Ok(self.classify_jet(&j, done < fuel))
-    }
-
-    /// Classifies the jet engine's end state. Reads straight off the
-    /// engine: everything the verdict needs (halt probe, exit-code
-    /// word, PC, streams, stats) is readable without the full
-    /// `into_state` memory write-back, which would cost more than the
-    /// run itself on short workloads.
-    fn classify_jet(&self, j: &jet::Jet, fuel_left: bool) -> StackResult {
-        let (stdout, stderr) = extract_streams(&j.io_events);
-        let exit = if !fuel_left && !j.is_halted() {
-            ExitStatus::OutOfFuel
-        } else {
-            let code = j.mem().read_word(self.layout.exit_code_addr);
-            if j.pc == self.layout.halt_addr && code != basis::image::EXIT_UNSET {
-                ExitStatus::Exited(code as u8)
-            } else {
-                ExitStatus::Wedged
-            }
-        };
-        StackResult {
-            exit,
-            stdout,
-            stderr,
-            instructions: j.instructions_retired,
-            cycles: None,
-            stats: Some(j.stats.clone()),
         }
     }
 
@@ -840,7 +581,10 @@ impl Stack {
         let instructions = rtl_state
             .get_scalar("retired")
             .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))?;
-        let exit = classify_hw(&env.mem, &self.layout, rtl_state)?;
+        let pc = rtl_state
+            .get_scalar("pc")
+            .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))?;
+        let exit = self.hw_exit(pc as u32, env);
         Ok(StackResult { exit, stdout, stderr, instructions, cycles: Some(cycles), stats: None })
     }
 
@@ -851,14 +595,45 @@ impl Stack {
         cycles: u64,
     ) -> StackResult {
         let (stdout, stderr) = extract_streams(&env.io_events);
-        let code = env.mem.read_word(self.layout.exit_code_addr);
         let pc = fin.get("pc").map(|v| v.as_u64() as u32).unwrap_or(0);
-        let exit = if pc == self.layout.halt_addr && code != basis::image::EXIT_UNSET {
-            ExitStatus::Exited(code as u8)
-        } else {
-            ExitStatus::Wedged
-        };
+        let exit = self.hw_exit(pc, env);
         StackResult { exit, stdout, stderr, instructions: 0, cycles: Some(cycles), stats: None }
+    }
+
+    /// The hardware simulations' exit verdict: the circuit's final PC
+    /// against the exit-code word in the lab environment's memory.
+    fn hw_exit(&self, pc: u32, env: &silver::env::MemEnv) -> ExitStatus {
+        halt_status(pc, env.mem.read_word(self.layout.exit_code_addr), &self.layout)
+    }
+}
+
+/// Rolling-checkpoint hooks for the shared slice loop: rewrite the
+/// checkpoint file (when one is configured) at every boundary, and keep
+/// the last boundary in memory as the divergence anchor of a shadowed
+/// run.
+struct Rolling<'a> {
+    path: Option<&'a Path>,
+    shadowed: bool,
+    anchor: Option<Snapshot>,
+}
+
+impl Hooks for Rolling<'_> {
+    type Stop = SnapshotError;
+
+    fn boundary<M: Machine>(&mut self, m: &M) -> ControlFlow<SnapshotError> {
+        if self.path.is_none() && !self.shadowed {
+            return ControlFlow::Continue(());
+        }
+        let snap = Snapshot::capture(m);
+        if let Some(path) = self.path {
+            if let Err(e) = snap.write_rolling(path) {
+                return ControlFlow::Break(e);
+            }
+        }
+        if self.shadowed {
+            self.anchor = Some(snap);
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -871,20 +646,4 @@ fn isa_result(r: basis::MachineResult) -> StackResult {
         cycles: None,
         stats: Some(r.state.stats.clone()),
     }
-}
-
-fn classify_hw(
-    mem: &ag32::Memory,
-    layout: &TargetLayout,
-    rtl_state: &rtl::RtlState,
-) -> Result<ExitStatus, StackError> {
-    let code = mem.read_word(layout.exit_code_addr);
-    let pc = rtl_state
-        .get_scalar("pc")
-        .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))? as u32;
-    Ok(if pc == layout.halt_addr && code != basis::image::EXIT_UNSET {
-        ExitStatus::Exited(code as u8)
-    } else {
-        ExitStatus::Wedged
-    })
 }

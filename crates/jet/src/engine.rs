@@ -25,7 +25,9 @@
 
 use std::collections::HashMap;
 
-use ag32::{alu, decode, shifter, ExecStats, Func, Instr, IoEvent, Opcode, State, NUM_REGS};
+use ag32::{
+    alu, decode, shifter, Engine, ExecStats, Func, Instr, IoEvent, Machine, Opcode, State, NUM_REGS,
+};
 
 use crate::block::{lower, Block, Op, Src, BLOCK_CAP};
 use crate::mem::JetMemory;
@@ -158,16 +160,6 @@ impl Jet {
             instructions_retired: self.instructions_retired,
             stats: self.stats.clone(),
         }
-    }
-
-    /// Consuming variant of [`Jet::to_state`] (moves the event trace
-    /// instead of cloning it).
-    #[must_use]
-    pub fn into_state(mut self) -> State {
-        let events = std::mem::take(&mut self.io_events);
-        let mut s = self.to_state();
-        s.io_events = events;
-        s
     }
 
     /// The hybrid memory (tests observe generation counters through it).
@@ -534,6 +526,45 @@ impl Jet {
             }
         }
         n
+    }
+}
+
+impl Machine for Jet {
+    const ENGINE: Engine = Engine::Jet;
+
+    fn run(&mut self, fuel: u64) -> u64 {
+        Jet::run(self, fuel)
+    }
+
+    fn retired(&self) -> u64 {
+        self.instructions_retired
+    }
+
+    fn is_halted(&self) -> bool {
+        Jet::is_halted(self)
+    }
+
+    fn pc(&self) -> u32 {
+        self.pc
+    }
+
+    fn read_word(&self, addr: u32) -> u32 {
+        self.mem.read_word(addr)
+    }
+
+    fn io_events(&self) -> &[IoEvent] {
+        &self.io_events
+    }
+
+    fn stats(&self) -> &ExecStats {
+        &self.stats
+    }
+
+    /// Writes the resident mirror back into sparse memory, so a jet
+    /// capture of a state serialises to exactly the bytes a reference
+    /// capture of the same state does.
+    fn capture(&self) -> State {
+        self.to_state()
     }
 }
 

@@ -23,9 +23,10 @@
 //!   stale cached blocks (the CakeML GC and the image loader both write
 //!   code-adjacent pages); stores into the *currently executing* block
 //!   abort the block mid-flight and force a re-decode.
-//! * **Shadow mode** ([`shadow`]) — runs the reference `Next` in
+//! * **Shadow mode** ([`Lockstep`]) — runs the reference `Next` in
 //!   lockstep (full, or 1-in-N sampled) and reports the first
-//!   divergence through [`obs::Forensics`].
+//!   divergence through [`obs::Forensics`]. The lockstep is itself an
+//!   [`ag32::Machine`], so any run loop over the engines drives it.
 //!
 //! Following *Sound Transpilation from Binary to Machine-Independent
 //! Code* (Metere et al.) and the differential-testing methodology of
@@ -79,4 +80,4 @@ pub mod shadow;
 
 pub use engine::{Jet, JetCounters};
 pub use mem::JetMemory;
-pub use shadow::{run_shadow, run_shadow_anchored, AnchoredDivergence, ShadowReport};
+pub use shadow::{run_shadow, Lockstep, ShadowReport};

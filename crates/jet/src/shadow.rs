@@ -1,12 +1,14 @@
 //! Shadow mode: theorem J as an executable obligation.
 //!
-//! [`run_shadow`] runs the reference interpreter (`ag32::State::next`)
-//! and the [`Jet`] engine in lockstep over the same image. The PC is
-//! compared after *every* retired instruction; the full architectural
-//! register file, flags and port state every `sample` retires
-//! (`sample == 1` is full shadow); and at the end of the run — halt,
-//! wedge or fuel exhaustion — the complete states including memory and
-//! the I/O-event traces must agree.
+//! [`Lockstep`] runs the reference interpreter (`ag32::State::next`)
+//! and the [`Jet`] engine in lockstep over the same image. It is itself
+//! an [`ag32::Machine`], so the sliced run loop that drives either
+//! engine drives the pair too: a shadowed run checkpoints, stops and
+//! resumes like any other. The PC is compared after *every* retired
+//! instruction; the full architectural register file, flags and port
+//! state every `sample` retires (`sample == 1` is full shadow); and at
+//! the end of the run — halt, wedge or fuel exhaustion — the complete
+//! states including memory and the I/O-event traces must agree.
 //!
 //! On the first divergence the checker stops and renders an
 //! [`obs::Forensics`] report naming the divergent retire index, every
@@ -16,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use ag32::{Instr, State};
+use ag32::{Engine, ExecStats, Instr, IoEvent, Machine, State};
 use obs::{Forensics, RegDelta};
 
 use crate::engine::Jet;
@@ -108,66 +110,195 @@ fn first_mem_delta(spec: &ag32::Memory, jet: &ag32::Memory) -> Option<RegDelta> 
     None
 }
 
-/// A shadow divergence together with the last good checkpoint before
-/// it — the raw material for checkpoint-anchored triage: replay the
-/// divergence from `anchor` (a deep copy of the reference state,
-/// correct by definition of the lockstep) instead of from boot.
-#[derive(Debug)]
-pub struct AnchoredDivergence {
-    /// The forensics report; `replay_anchor` is set when an anchor was
-    /// captured before the divergence.
-    pub forensics: Box<Forensics>,
-    /// Reference state at the last checkpoint boundary, `None` when the
-    /// divergence hit before the first boundary.
-    pub anchor: Option<Box<State>>,
-    /// Retire index (relative to this shadow run) the anchor was
-    /// captured at; `0` means boot.
-    pub anchor_retired: u64,
-}
-
-struct Shadow {
+/// The reference interpreter and the jet engine stepped together — a
+/// [`Machine`] whose every retire is a theorem-J check.
+///
+/// The lockstep reports the reference side's state (PC, memory, I/O
+/// trace, stats, capture), which is correct by definition; the jet side
+/// only has to agree with it. On the first divergence it records the
+/// forensics and reports itself halted, so any run loop stops there;
+/// [`Lockstep::finish`] then hands the report back, or — for a run
+/// that reached its end cleanly — performs the end-of-run memory and
+/// I/O-trace comparison.
+///
+/// Run boundaries are where a sliced run loop checkpoints: the end of
+/// every [`run`](Machine::run) call that retired its whole budget
+/// without halting or diverging, and the resume point of a lockstep
+/// built from a checkpoint. The last boundary past boot is the
+/// divergence's replay anchor: replaying from the reference state
+/// captured there reaches the divergence in `divergent_step − anchor`
+/// retires instead of `divergent_step` from boot.
+pub struct Lockstep {
     spec: State,
     jet: Jet,
+    sample: u64,
+    /// Retire count the lockstep was built at.
+    start: u64,
+    full_compares: u64,
+    anchor: Option<u64>,
     spec_tail: VecDeque<String>,
     jet_tail: VecDeque<String>,
-    retired: u64,
-    full_compares: u64,
-    anchor: Option<Box<State>>,
-    anchor_retired: u64,
+    divergence: Option<Box<Forensics>>,
 }
 
-impl Shadow {
-    fn forensics(&mut self, deltas: Vec<RegDelta>, note: Option<String>) -> AnchoredDivergence {
+impl Lockstep {
+    /// A lockstep over `state` (a boot image or a restored checkpoint).
+    ///
+    /// `sample` controls full architectural comparison frequency: `1`
+    /// compares the whole register file after every retire (full
+    /// shadow); `N > 1` every N retires (the PC is still compared on
+    /// every retire); `0` only at the end. `alu_fault_xor` is forwarded
+    /// to [`Jet::alu_fault_xor`] — `0` for a real check; tests pass a
+    /// single bit to prove the oracle catches injected executor bugs.
+    #[must_use]
+    pub fn new(state: &State, sample: u64, alu_fault_xor: u32) -> Lockstep {
+        let mut jet = Jet::from_state(state);
+        jet.alu_fault_xor = alu_fault_xor;
+        Lockstep {
+            spec: state.clone(),
+            jet,
+            sample,
+            start: state.instructions_retired,
+            full_compares: 0,
+            anchor: (state.instructions_retired > 0).then_some(state.instructions_retired),
+            spec_tail: VecDeque::new(),
+            jet_tail: VecDeque::new(),
+            divergence: None,
+        }
+    }
+
+    fn forensics(&self, deltas: Vec<RegDelta>, note: Option<String>) -> Box<Forensics> {
         let mut fx = Forensics::new("theorem J: jet \u{2261} Next", "isa", "jet");
-        fx.divergent_step = Some(self.retired);
+        fx.divergent_step = Some(self.spec.instructions_retired);
         fx.deltas = deltas;
         fx.spec_tail = self.spec_tail.iter().cloned().collect();
         fx.impl_tail = self.jet_tail.iter().cloned().collect();
-        if let Some(n) = note {
-            fx.notes.push(n);
+        fx.notes.extend(note);
+        fx.replay_anchor = self.anchor;
+        Box::new(fx)
+    }
+
+    /// One lockstep retire; `false` once a divergence is recorded.
+    fn step(&mut self) -> bool {
+        let (spec, jet) = (&self.spec, &self.jet);
+        let spec_line = tail_line(spec.instructions_retired, spec.pc, &spec.current_instr());
+        let jet_line = tail_line(jet.instructions_retired, jet.pc, &jet.fetch_instr());
+        push_tail(&mut self.spec_tail, spec_line);
+        push_tail(&mut self.jet_tail, jet_line);
+        self.spec.next();
+        let note = if self.jet.run(1) == 0 {
+            Some(format!("jet halted at pc {} but isa retired", hex(self.jet.pc)))
+        } else if self.jet.pc == self.spec.pc {
+            let retired = self.spec.instructions_retired - self.start;
+            if self.sample == 0 || !retired.is_multiple_of(self.sample) {
+                return true;
+            }
+            self.full_compares += 1;
+            if arch_deltas(&self.spec, &self.jet).is_empty() {
+                return true;
+            }
+            None
+        } else {
+            None
+        };
+        self.divergence = Some(self.forensics(arch_deltas(&self.spec, &self.jet), note));
+        false
+    }
+
+    /// The end-of-run verdict: the divergence the run stopped at, if
+    /// any; otherwise the final comparison of the complete states —
+    /// architectural state, memory and the I/O-event traces — after
+    /// checking that jet, too, retires nothing past the reference
+    /// halt.
+    ///
+    /// # Errors
+    ///
+    /// The first divergence, as a rendered-ready [`Forensics`] report.
+    pub fn finish(&mut self) -> Result<ShadowReport, Box<Forensics>> {
+        if let Some(fx) = self.divergence.take() {
+            return Err(fx);
         }
-        if self.anchor.is_some() {
-            fx.replay_anchor = Some(self.anchor_retired);
+        if self.spec.is_halted() && self.jet.run(1) != 0 {
+            let note =
+                format!("isa halted at pc {} but jet retired an instruction", hex(self.spec.pc));
+            return Err(self.forensics(arch_deltas(&self.spec, &self.jet), Some(note)));
         }
-        AnchoredDivergence {
-            forensics: Box::new(fx),
-            anchor: self.anchor.take(),
-            anchor_retired: self.anchor_retired,
+        self.full_compares += 1;
+        let jet_state = self.jet.to_state();
+        let mut deltas = arch_deltas(&self.spec, &self.jet);
+        if self.spec.io_events != jet_state.io_events {
+            deltas.push(RegDelta {
+                field: "io_events".to_string(),
+                spec: format!("{} events", self.spec.io_events.len()),
+                impl_: format!("{} events", jet_state.io_events.len()),
+            });
         }
+        if self.spec.mem != jet_state.mem {
+            deltas.push(first_mem_delta(&self.spec.mem, &jet_state.mem).unwrap_or(RegDelta {
+                field: "mem".to_string(),
+                spec: "(differs)".to_string(),
+                impl_: "(differs)".to_string(),
+            }));
+        }
+        if !deltas.is_empty() {
+            return Err(self.forensics(deltas, Some("final-state comparison".to_string())));
+        }
+        Ok(ShadowReport {
+            retired: self.spec.instructions_retired - self.start,
+            full_compares: self.full_compares,
+        })
     }
 }
 
-/// Runs theorem J over `image` for up to `fuel` instructions.
-///
-/// `sample` controls full architectural comparison frequency: `1`
-/// compares the whole register file after every retire (full shadow);
-/// `N > 1` compares every N retires (the PC is still compared on every
-/// retire); `0` compares only at the end. Memory and I/O traces are
-/// always compared at the end of the run.
-///
-/// `alu_fault_xor` is forwarded to [`Jet::alu_fault_xor`] — pass `0`
-/// for a real check; tests pass a single bit to prove the oracle
-/// catches injected executor bugs.
+impl Machine for Lockstep {
+    /// Captures are of the reference side.
+    const ENGINE: Engine = Engine::Ref;
+
+    /// A call that retires its whole budget without halting or
+    /// diverging ends on a boundary, which becomes the replay anchor.
+    fn run(&mut self, fuel: u64) -> u64 {
+        let mut n = 0;
+        while n < fuel && !self.is_halted() && self.step() {
+            n += 1;
+        }
+        if n > 0 && n == fuel && !self.is_halted() {
+            self.anchor = Some(self.spec.instructions_retired);
+        }
+        n
+    }
+
+    fn retired(&self) -> u64 {
+        self.spec.instructions_retired
+    }
+
+    fn is_halted(&self) -> bool {
+        self.divergence.is_some() || self.spec.is_halted()
+    }
+
+    fn pc(&self) -> u32 {
+        self.spec.pc
+    }
+
+    fn read_word(&self, addr: u32) -> u32 {
+        self.spec.mem.read_word(addr)
+    }
+
+    fn io_events(&self) -> &[IoEvent] {
+        &self.spec.io_events
+    }
+
+    fn stats(&self) -> &ExecStats {
+        &self.spec.stats
+    }
+
+    fn capture(&self) -> State {
+        self.spec.clone()
+    }
+}
+
+/// Runs theorem J over `image` for up to `fuel` instructions in one
+/// lockstep slice — see [`Lockstep::new`] for `sample` and
+/// `alu_fault_xor`.
 ///
 /// # Errors
 ///
@@ -178,109 +309,9 @@ pub fn run_shadow(
     sample: u64,
     alu_fault_xor: u32,
 ) -> Result<ShadowReport, Box<Forensics>> {
-    run_shadow_anchored(image, fuel, sample, alu_fault_xor, 0).map_err(|d| d.forensics)
-}
-
-/// [`run_shadow`] with checkpoint anchoring: every `checkpoint_every`
-/// retires (0 = never) the reference state is cloned as the current
-/// anchor, and a divergence returns that last good anchor alongside the
-/// forensics so triage can replay `divergent_step − anchor_retired`
-/// instructions from the checkpoint instead of `divergent_step` from
-/// boot. The anchor is the *reference* side, which the lockstep had
-/// verified up to that boundary.
-///
-/// # Errors
-///
-/// The first divergence, with the last checkpoint anchor attached.
-pub fn run_shadow_anchored(
-    image: &State,
-    fuel: u64,
-    sample: u64,
-    alu_fault_xor: u32,
-    checkpoint_every: u64,
-) -> Result<ShadowReport, AnchoredDivergence> {
-    let mut sh = Shadow {
-        spec: image.clone(),
-        jet: Jet::from_state(image),
-        spec_tail: VecDeque::new(),
-        jet_tail: VecDeque::new(),
-        retired: 0,
-        full_compares: 0,
-        anchor: None,
-        anchor_retired: 0,
-    };
-    sh.jet.alu_fault_xor = alu_fault_xor;
-
-    while sh.retired < fuel {
-        let spec_stops =
-            sh.spec.is_halted() || sh.spec.current_instr() == ag32::Instr::Reserved;
-        if spec_stops {
-            let jet_retired = sh.jet.run(1);
-            if jet_retired != 0 {
-                return Err(sh.forensics(
-                    arch_deltas(&sh.spec, &sh.jet),
-                    Some(format!(
-                        "isa halted at pc {} but jet retired an instruction",
-                        hex(sh.spec.pc)
-                    )),
-                ));
-            }
-            break;
-        }
-        push_tail(
-            &mut sh.spec_tail,
-            tail_line(sh.retired, sh.spec.pc, &sh.spec.current_instr()),
-        );
-        push_tail(&mut sh.jet_tail, tail_line(sh.retired, sh.jet.pc, &sh.jet.fetch_instr()));
-        sh.spec.next();
-        let jet_retired = sh.jet.run(1);
-        if jet_retired == 0 {
-            return Err(sh.forensics(
-                arch_deltas(&sh.spec, &sh.jet),
-                Some(format!("jet halted at pc {} but isa retired", hex(sh.jet.pc))),
-            ));
-        }
-        sh.retired += 1;
-        if sh.jet.pc != sh.spec.pc {
-            return Err(sh.forensics(arch_deltas(&sh.spec, &sh.jet), None));
-        }
-        if sample > 0 && sh.retired % sample == 0 {
-            sh.full_compares += 1;
-            let deltas = arch_deltas(&sh.spec, &sh.jet);
-            if !deltas.is_empty() {
-                return Err(sh.forensics(deltas, None));
-            }
-        }
-        // Anchor only after this retire's comparisons all passed: the
-        // clone is a *verified-good* reference state.
-        if checkpoint_every > 0 && sh.retired % checkpoint_every == 0 {
-            sh.anchor = Some(Box::new(sh.spec.clone()));
-            sh.anchor_retired = sh.retired;
-        }
-    }
-
-    // End of run: full architectural + memory + I/O-trace comparison.
-    sh.full_compares += 1;
-    let jet_state = sh.jet.to_state();
-    let mut deltas = arch_deltas(&sh.spec, &sh.jet);
-    if sh.spec.io_events != jet_state.io_events {
-        deltas.push(RegDelta {
-            field: "io_events".to_string(),
-            spec: format!("{} events", sh.spec.io_events.len()),
-            impl_: format!("{} events", jet_state.io_events.len()),
-        });
-    }
-    if sh.spec.mem != jet_state.mem {
-        deltas.push(first_mem_delta(&sh.spec.mem, &jet_state.mem).unwrap_or(RegDelta {
-            field: "mem".to_string(),
-            spec: "(differs)".to_string(),
-            impl_: "(differs)".to_string(),
-        }));
-    }
-    if !deltas.is_empty() {
-        return Err(sh.forensics(deltas, Some("final-state comparison".to_string())));
-    }
-    Ok(ShadowReport { retired: sh.retired, full_compares: sh.full_compares })
+    let mut ls = Lockstep::new(image, sample, alu_fault_xor);
+    ls.run(fuel);
+    ls.finish()
 }
 
 #[cfg(test)]
@@ -327,11 +358,36 @@ mod tests {
         assert!(text.contains("jet"), "{text}");
     }
 
+    /// Drives `ls` in slices of `every` retires the way the stack's run
+    /// loop does, keeping each boundary's capture (the checkpoint the
+    /// loop would write there).
+    fn sliced(mut ls: Lockstep, fuel: u64, every: u64) -> (Vec<State>, Lockstep) {
+        let mut boundaries = Vec::new();
+        while ls.retired() < fuel && !ls.is_halted() {
+            let chunk = every.min(fuel - ls.retired());
+            if ls.run(chunk) < chunk || ls.is_halted() {
+                break;
+            }
+            boundaries.push(ls.capture());
+        }
+        (boundaries, ls)
+    }
+
+    fn same_end(a: &State, b: &State) -> bool {
+        a.isa_visible_eq(b) && a.instructions_retired == b.instructions_retired && a.stats == b.stats
+    }
+
     /// A late divergence (the injected fault only bites `Normal` ALU
     /// ops, and the program's first ALU op sits behind a prefix of
-    /// `li`s spanning two checkpoint boundaries) hands back a
-    /// verified-good reference state from which the divergence replays
-    /// in far fewer retires than from boot.
+    /// `li`s spanning two slice boundaries) names the last boundary as
+    /// its replay anchor, and the reference state captured there
+    /// replays the divergence in far fewer retires than from boot.
+    ///
+    /// The second half holds the lockstep to the run-loop contract:
+    /// slicing changes nothing, a fresh lockstep resumed from any
+    /// boundary capture ends exactly like the uninterrupted run, and a
+    /// fault present only after the resume point is still caught, with
+    /// the last boundary as its anchor.
     #[test]
     fn anchored_divergence_carries_a_replayable_checkpoint() {
         let mut a = Assembler::new(0);
@@ -344,30 +400,56 @@ mod tests {
         image.mem.write_bytes(0, &a.assemble().expect("assembles"));
 
         let fault = 1 << 4;
-        let div = run_shadow_anchored(&image, 10_000, 1, fault, 4)
-            .expect_err("the ALU fault must be caught");
-        let step = div.forensics.divergent_step.expect("divergent retire named");
-        let anchor = div.anchor.as_deref().expect("divergence is past the first boundary");
-        assert_eq!(div.forensics.replay_anchor, Some(div.anchor_retired));
-        assert!(div.anchor_retired > 0 && div.anchor_retired <= step);
-        assert_eq!(anchor.instructions_retired, div.anchor_retired);
+        let (boundaries, mut ls) = sliced(Lockstep::new(&image, 1, fault), 10_000, 4);
+        let fx = ls.finish().expect_err("the ALU fault must be caught");
+        let step = fx.divergent_step.expect("divergent retire named");
+        let anchor = boundaries.last().expect("divergence is past the first boundary");
+        assert_eq!(fx.replay_anchor, Some(anchor.instructions_retired));
+        assert!(anchor.instructions_retired > 0 && anchor.instructions_retired <= step);
 
         // Replaying from the anchor with the same fault reproduces the
         // divergence within the remaining fuel — and without the fault
         // the anchor is a clean state (theorem J holds from there).
-        let remaining = step - div.anchor_retired + 8;
+        let remaining = step - anchor.instructions_retired + 8;
         run_shadow(anchor, remaining, 1, fault)
             .expect_err("replay from the anchor reproduces the divergence");
         run_shadow(anchor, 10_000, 1, 0).expect("anchor itself is a good state");
+
+        let image = looped_image();
+        let mut whole = Lockstep::new(&image, 1, 0);
+        whole.run(10_000);
+        let end = whole.capture();
+        let report = whole.finish().expect("theorem J holds");
+        let alu = |s: &State| s.stats.opcode_retired[ag32::Opcode::Normal as usize];
+        for every in [1, 7, 16] {
+            let (boundaries, mut ls) = sliced(Lockstep::new(&image, 1, 0), 10_000, every);
+            assert!(same_end(&ls.capture(), &end), "slices of {every} end like one run");
+            assert_eq!(ls.finish().expect("theorem J holds"), report);
+            assert!(!boundaries.is_empty());
+            for b in &boundaries {
+                let (_, mut resumed) = sliced(Lockstep::new(b, 1, 0), 10_000, every);
+                assert!(same_end(&resumed.capture(), &end), "resume from {}", b.instructions_retired);
+                let resumed_report = resumed.finish().expect("theorem J holds after resume");
+                assert_eq!(resumed_report.retired, report.retired - b.instructions_retired);
+
+                if alu(b) == alu(&end) {
+                    continue; // no ALU op left for the fault to bite
+                }
+                let (later, mut faulty) = sliced(Lockstep::new(b, 1, 1 << 3), 10_000, every);
+                let fx = faulty.finish().expect_err("a fault after the resume point is caught");
+                let last = later.last().unwrap_or(b).instructions_retired;
+                assert_eq!(fx.replay_anchor, Some(last), "anchored at the last boundary");
+            }
+        }
     }
 
-    /// An early divergence (before the first checkpoint boundary)
-    /// reports no anchor rather than a stale one.
+    /// An early divergence (before the first boundary) reports no
+    /// anchor rather than a stale one.
     #[test]
     fn divergence_before_first_boundary_has_no_anchor() {
-        let div = run_shadow_anchored(&looped_image(), 10_000, 1, 1, 1_000)
-            .expect_err("an always-on ALU fault diverges immediately");
-        assert!(div.anchor.is_none());
-        assert_eq!(div.forensics.replay_anchor, None);
+        let (boundaries, mut ls) = sliced(Lockstep::new(&looped_image(), 1, 1), 10_000, 1_000);
+        assert!(boundaries.is_empty());
+        let fx = ls.finish().expect_err("an always-on ALU fault diverges immediately");
+        assert_eq!(fx.replay_anchor, None);
     }
 }

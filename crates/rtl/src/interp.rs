@@ -453,6 +453,16 @@ impl<T: CycleObserver> CycleObserver for &mut T {
     }
 }
 
+/// An observer that may be absent (an optional VCD dump or profile).
+impl<T: CycleObserver> CycleObserver for Option<T> {
+    #[inline]
+    fn on_cycle(&mut self, n: u64, state: &RtlState) {
+        if let Some(o) = self {
+            o.on_cycle(n, state);
+        }
+    }
+}
+
 /// Fan-out: drive two observers from one run (e.g. a VCD dumper plus a
 /// cycle profiler).
 impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {

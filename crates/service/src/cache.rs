@@ -142,7 +142,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::ServeEngine;
+    use ag32::Engine;
 
     fn outcome(tag: u8) -> JobOutcome {
         JobOutcome {
@@ -152,7 +152,7 @@ mod tests {
             stdout: vec![tag; 3],
             stderr: Vec::new(),
             instructions: u64::from(tag) * 1000,
-            engine: ServeEngine::Jet,
+            engine: Engine::Jet,
             cached: false,
             shadowed: false,
             migrations: 0,

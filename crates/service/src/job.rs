@@ -2,7 +2,8 @@
 //!
 //! A job is one compile+run request: source text, command line, stdin,
 //! an (optional, currently unrealised) file image and a fuel budget.
-//! The cache key is an FNV-1a-64 hash over exactly the inputs that
+//! The cache key is an FNV-1a-64 hash ([`Fnv64`], the same hasher that
+//! seals snapshot files) over exactly the inputs that
 //! determine the result bytes — and *nothing else*. In particular the
 //! serving engine and the shadow policy are excluded on purpose:
 //! theorem J (checked continuously by the shadow sampler) says the
@@ -12,6 +13,9 @@
 //! too — results are content-addressed, not principal-addressed.
 
 use std::fmt;
+
+use ag32::Engine;
+use silver::snapshot::Fnv64;
 
 /// Bump when the *meaning* of a cached result changes (result encoding,
 /// classification rules, compiler defaults). Entries recorded under a
@@ -41,26 +45,6 @@ pub enum ShadowPref {
     Default,
     /// Always shadow-check this job.
     Always,
-}
-
-/// The engine that actually served a job.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ServeEngine {
-    /// Reference interpreter (`ag32::State::next`).
-    Ref,
-    /// Jet translation-cache engine.
-    Jet,
-}
-
-impl ServeEngine {
-    /// Stable lowercase name for logs and wire encoding.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeEngine::Ref => "ref",
-            ServeEngine::Jet => "jet",
-        }
-    }
 }
 
 /// One compile+run request.
@@ -164,7 +148,7 @@ pub struct JobOutcome {
     /// Instructions retired (0 for compile/image errors).
     pub instructions: u64,
     /// Engine that produced the result.
-    pub engine: ServeEngine,
+    pub engine: Engine,
     /// Served from the result cache.
     pub cached: bool,
     /// A full lockstep shadow check ran over this execution.
@@ -188,32 +172,11 @@ impl JobOutcome {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a-64 (the same construction `silver::snapshot`
-/// uses for its trailer checksum).
-#[derive(Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Length-prefixed field, so adjacent fields can never alias
-    /// (`("ab","c")` vs `("a","bc")`).
-    fn field(&mut self, bytes: &[u8]) {
-        self.update(&(bytes.len() as u64).to_le_bytes());
-        self.update(bytes);
-    }
+/// Length-prefixed field, so adjacent fields can never alias
+/// (`("ab","c")` vs `("a","bc")`).
+fn field(h: &mut Fnv64, bytes: &[u8]) {
+    h.update(&(bytes.len() as u64).to_le_bytes());
+    h.update(bytes);
 }
 
 /// The content-addressed cache key of a job: an FNV-1a-64 hash over
@@ -221,29 +184,40 @@ impl Fnv {
 /// tenant are deliberately excluded — see the module docs.
 #[must_use]
 pub fn job_key(spec: &JobSpec) -> u64 {
-    let mut h = Fnv::new();
-    h.field(&CACHE_VERSION.to_le_bytes());
-    h.field(spec.source.as_bytes());
+    let mut h = Fnv64::new();
+    field(&mut h, &CACHE_VERSION.to_le_bytes());
+    field(&mut h, spec.source.as_bytes());
     h.update(&(spec.args.len() as u64).to_le_bytes());
     for a in &spec.args {
-        h.field(a.as_bytes());
+        field(&mut h, a.as_bytes());
     }
-    h.field(&spec.stdin);
+    field(&mut h, &spec.stdin);
     // Canonical file order: the image is a *set* of named files.
     let mut files: Vec<&(String, Vec<u8>)> = spec.files.iter().collect();
     files.sort_by(|a, b| a.0.cmp(&b.0));
     h.update(&(files.len() as u64).to_le_bytes());
     for (name, data) in files {
-        h.field(name.as_bytes());
-        h.field(data);
+        field(&mut h, name.as_bytes());
+        field(&mut h, data);
     }
-    h.field(&spec.fuel.to_le_bytes());
-    h.0
+    field(&mut h, &spec.fuel.to_le_bytes());
+    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The cache address of a fixed job, pinned: a change to the hash
+    /// or to the key layout moves every cached result and must be a
+    /// deliberate `CACHE_VERSION` bump, not a side effect.
+    #[test]
+    fn key_of_a_fixed_job_is_pinned() {
+        let mut spec = JobSpec::new("alice", "val _ = print \"hi\";");
+        spec.args.push("-v".into());
+        spec.stdin = b"some input\n".to_vec();
+        assert_eq!(job_key(&spec), 0x95d2_2f5f_114d_a2c8);
+    }
 
     #[test]
     fn key_ignores_engine_shadow_and_tenant() {

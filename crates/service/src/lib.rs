@@ -3,7 +3,7 @@
 //!
 //! The paper's stack gives a machine-checked guarantee that every
 //! engine implementing the Silver ISA behaves identically (theorem J,
-//! checked continuously by `jet::run_shadow`). That is exactly the
+//! checked continuously by `jet::Lockstep`). That is exactly the
 //! property that makes it safe to serve untrusted compile+run jobs at
 //! scale on the *fastest* engine with *sampled* lockstep checking: the
 //! contract is one, the implementations are many, and the sampler keeps
@@ -18,8 +18,9 @@
 //!                                bounded WorkQueue (testkit::pool)
 //!                                           │
 //!                              sharded WorkerPool (N workers)
-//!                                           │  compile → [shadow] → run in
-//!                                           │  checkpoint-sized slices
+//!                                           │  compile → run in checkpoint-
+//!                                           │  sized slices (silver::exec;
+//!                                           │  sampled jobs as the lockstep)
 //!                                           ▼
 //!                       JobOutcome ──▶ cache + tenant settle + metrics
 //! ```
@@ -35,7 +36,6 @@
 //!   ([`cache::ResultCache::lookup`]).
 
 pub mod cache;
-mod exec;
 pub mod client;
 pub mod job;
 pub mod net;
@@ -47,16 +47,18 @@ pub mod wire;
 pub use cache::{CacheStats, ResultCache};
 pub use client::{loadgen, parse_stats, Client, LoadgenConfig, LoadgenSummary, StatsSnapshot};
 pub use job::{
-    job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ServeEngine, ShadowPref, CACHE_VERSION,
+    job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref, CACHE_VERSION,
 };
+pub use ag32::Engine;
 pub use net::{serve, Endpoint};
 pub use server::{RejectReason, Service};
 pub use tenant::{AdmitError, TenantPolicy, TenantTable};
 
-/// Shadow-sampling policy: every `every_jobs`-th executed job runs the
-/// full lockstep shadow oracle over its whole execution before the
-/// serving run (`0` disables sampling; jobs can still force a check
-/// via [`ShadowPref::Always`]). `sample` is the in-run cadence of full
+/// Shadow-sampling policy: every `every_jobs`-th executed job runs as
+/// the lockstep of the reference interpreter and jet, which checks
+/// theorem J over its whole execution and serves the lockstep's own
+/// result (`0` disables sampling; jobs can still force a check via
+/// [`ShadowPref::Always`]). `sample` is the in-run cadence of full
 /// architectural comparisons (the PC is compared on every retire
 /// regardless).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,7 +96,7 @@ pub struct ServiceConfig {
     pub tenant: TenantPolicy,
     /// Engine for [`EnginePref::Auto`] jobs. Jet: the fastest engine is
     /// the right default precisely because shadow sampling stays on.
-    pub default_engine: ServeEngine,
+    pub default_engine: Engine,
     /// Completed-trace store capacity: the newest N job traces are
     /// retrievable through the `Trace` wire op (0 disables tracing
     /// retention; the flight recorder still runs).
@@ -109,8 +111,8 @@ pub struct ServiceConfig {
     /// the socket front end, in milliseconds (0 = only the shutdown
     /// lines).
     pub stats_every_ms: u64,
-    /// Fault-injection hook for tests and CI: XORed into one ALU result
-    /// inside sampled shadow checks so a divergence (and its automatic
+    /// Fault-injection hook for tests and CI: XORed into the jet side's
+    /// ALU results inside shadowed runs so a divergence (and its automatic
     /// flight-recorder dump) can be provoked on demand. Keep 0 in
     /// production.
     #[doc(hidden)]
@@ -126,7 +128,7 @@ impl Default for ServiceConfig {
             shadow: ShadowPolicy::default(),
             checkpoint_every: 100_000,
             tenant: TenantPolicy::default(),
-            default_engine: ServeEngine::Jet,
+            default_engine: Engine::Jet,
             trace_capacity: 512,
             flight_capacity: 4096,
             trace_dir: None,

@@ -76,13 +76,16 @@ pub fn serve(
 
     signal::install_termination_latch();
     let stats_every = service.stats_every();
-    let mut last_stats = Instant::now();
+    // `None` until the first line, which is written before the first
+    // accept: the series starts at `seq` 0 however quickly the first
+    // client polls `stats` (polls share the sequence counter).
+    let mut last_stats: Option<Instant> = None;
 
     let shutdown = Arc::new(AtomicBool::new(false));
     while !shutdown.load(Ordering::Relaxed) && !signal::termination_requested() {
         if let (Some(path), Some(every)) = (bench, stats_every) {
-            if last_stats.elapsed() >= every {
-                last_stats = Instant::now();
+            if last_stats.is_none_or(|t| t.elapsed() >= every) {
+                last_stats = Some(Instant::now());
                 service.append_stats_line(path)?;
             }
         }

@@ -12,14 +12,17 @@
 //!    against the tenant's policy, then the job is enqueued on the
 //!    bounded work queue (back-pressure: a full queue rejects).
 //! 4. A **worker** compiles and runs the job in checkpoint-sized
-//!    slices. Every `shadow.every_jobs`-th executed job first runs the
-//!    full lockstep shadow oracle (theorem J) over its whole execution;
-//!    a divergence fails the job with forensics and is never cached.
+//!    slices ([`silver::exec::run`]). Every `shadow.every_jobs`-th
+//!    executed job runs as the lockstep of the reference interpreter
+//!    and jet (theorem J checked on every retire) and returns the
+//!    lockstep's own result; a divergence fails the job with forensics
+//!    and is never cached.
 //! 5. A worker stopped mid-job requeues the job *at the front* of the
 //!    queue with its last rolling checkpoint; any worker — including a
 //!    freshly respawned one — resumes it from there. The resumed
 //!    result is byte-identical to an uninterrupted run (the crash-resume
-//!    contract, now as live job migration).
+//!    contract, now as live job migration). A shadowed job resumes as
+//!    a lockstep again, so every segment is checked.
 //!
 //! Every step above also emits a span into the job's
 //! [`obs::trace::JobTrace`] — admit, cache lookup, tenant reserve,
@@ -32,23 +35,26 @@
 //! Chrome trace-event JSON (Perfetto-loadable) into
 //! [`ServiceConfig::trace_dir`].
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use basis::build_image;
+use ag32::{Engine, Machine, State};
+use basis::{build_image, ExitStatus};
 use cakeml::{compile_source, CompilerConfig, TargetLayout};
+use jet::ShadowReport;
 use obs::metrics::Registry;
 use obs::trace::{chrome_trace_json, FlightRecorder, JobTrace, SpanId, SpanKind, TraceBuilder};
+use obs::Forensics;
+use silver::exec::{Finished, Hooks, Plan, RunEnd, Shadow};
 use silver::snapshot::Snapshot;
 use testkit::pool::{PushError, WorkQueue, WorkerCtl, WorkerPool};
 
 use crate::cache::{CacheStats, ResultCache};
-use crate::exec::{run_sliced, ExecEnd, SliceEnv, Start};
-use crate::job::{job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ServeEngine, ShadowPref};
+use crate::job::{job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref};
 use crate::tenant::{AdmitError, TenantPolicy, TenantTable};
 use crate::{ServiceConfig, ShadowPolicy};
 
@@ -102,7 +108,7 @@ struct Pending {
     spec: JobSpec,
     key: u64,
     job_id: u64,
-    engine: ServeEngine,
+    engine: Engine,
     shadowed: bool,
     resume: Option<Box<Snapshot>>,
     migrations: u32,
@@ -195,6 +201,13 @@ impl Inner {
         Some(self.started.elapsed().as_micros() as u64)
     }
 
+    /// The deterministic kill tripwire is armed and its checkpoint
+    /// count has been reached.
+    fn tripwire_fired(&self) -> bool {
+        let at = self.kill_at_checkpoint.load(Ordering::Relaxed);
+        at != 0 && self.checkpoint_seq.load(Ordering::Relaxed) >= at
+    }
+
     fn store_trace(&self, trace: JobTrace) {
         if self.cfg.trace_capacity == 0 {
             return;
@@ -268,7 +281,9 @@ impl Service {
     /// [`RejectReason`] when admission refuses the job.
     pub fn submit(&self, spec: JobSpec) -> Result<JobOutcome, RejectReason> {
         let rx = self.submit_async(spec)?;
-        Ok(rx.recv().unwrap_or_else(|_| internal_outcome("worker lost the job channel")))
+        Ok(rx.recv().unwrap_or_else(|_| {
+            status_outcome(JobStatus::Internal, "worker lost the job channel".to_string())
+        }))
     }
 
     /// Submits a job, returning a receiver for its outcome (already
@@ -336,8 +351,8 @@ impl Service {
 
         let engine = match spec.engine {
             EnginePref::Auto => inner.cfg.default_engine,
-            EnginePref::Ref => ServeEngine::Ref,
-            EnginePref::Jet => ServeEngine::Jet,
+            EnginePref::Ref => Engine::Ref,
+            EnginePref::Jet => Engine::Jet,
         };
         let shadowed = match spec.shadow {
             ShadowPref::Always => true,
@@ -599,218 +614,203 @@ fn validate(spec: &JobSpec) -> Result<(), RejectReason> {
     Ok(())
 }
 
-fn internal_outcome(msg: &str) -> JobOutcome {
+/// An outcome that carries only a status and its detail.
+fn status_outcome(status: JobStatus, message: String) -> JobOutcome {
     JobOutcome {
         job_id: 0,
-        status: JobStatus::Internal,
-        message: msg.to_string(),
+        status,
+        message,
         stdout: Vec::new(),
         stderr: Vec::new(),
         instructions: 0,
-        engine: ServeEngine::Ref,
+        engine: Engine::Ref,
         cached: false,
         shadowed: false,
         migrations: 0,
     }
 }
 
-/// The worker body: compile (fresh jobs), shadow-check when sampled,
-/// run in slices, and either finish the job or requeue it from its
-/// last checkpoint when stopped. Every phase lands in the job's trace.
+/// The outcome of a run that reached its end.
+fn finished_outcome(f: Finished) -> JobOutcome {
+    let (status, message) = match f.exit {
+        ExitStatus::Exited(c) => (JobStatus::Exited(c), String::new()),
+        ExitStatus::OutOfFuel => (JobStatus::OutOfFuel, String::new()),
+        ExitStatus::Wedged => (JobStatus::Wedged, String::new()),
+        ExitStatus::FfiFailed(detail) => (JobStatus::FfiFailed, detail),
+    };
+    JobOutcome {
+        stdout: f.stdout,
+        stderr: f.stderr,
+        instructions: f.instructions,
+        ..status_outcome(status, message)
+    }
+}
+
+/// Compiles a fresh job and builds its boot image, tracing both phases.
+fn boot_image(inner: &Inner, spec: &JobSpec, tb: &mut TraceBuilder) -> Result<State, JobOutcome> {
+    let compile = tb.begin(SpanKind::Compile, 0, inner.wall_us());
+    let compiled = compile_source(&spec.source, inner.layout, &inner.compiler_cfg);
+    tb.end(compile, u64::from(compiled.is_err()), inner.wall_us());
+    let compiled =
+        compiled.map_err(|e| status_outcome(JobStatus::CompileError, e.to_string()))?;
+    let args: Vec<&str> = spec.args.iter().map(String::as_str).collect();
+    let build = tb.begin(SpanKind::ImageBuild, 0, inner.wall_us());
+    let image = build_image(&compiled, &args, &spec.stdin);
+    tb.end(build, u64::from(image.is_err()), inner.wall_us());
+    image.map_err(|e| status_outcome(JobStatus::ImageError, e.to_string()))
+}
+
+/// The worker's hooks into the shared slice loop: every slice and
+/// rolling checkpoint lands in the job's trace, a stop request (or the
+/// test tripwire) is honoured at the next boundary by handing back that
+/// boundary's checkpoint, and a shadowed run's end-of-run verdict is
+/// the `ShadowCheck` span.
+struct JobHooks<'a> {
+    inner: &'a Inner,
+    ctl: &'a WorkerCtl,
+    tb: &'a mut TraceBuilder,
+}
+
+impl Hooks for JobHooks<'_> {
+    type Stop = Box<Snapshot>;
+
+    fn slice(&mut self, before: u64, after: u64) {
+        let s = self.tb.begin(SpanKind::Slice, before, None);
+        self.tb.end(s, after, self.inner.wall_us());
+    }
+
+    fn boundary<M: Machine>(&mut self, m: &M) -> ControlFlow<Box<Snapshot>> {
+        let snap = Snapshot::capture(m);
+        self.inner.checkpoint_seq.fetch_add(1, Ordering::Relaxed);
+        self.inner.m.checkpoints.inc();
+        self.tb.instant(SpanKind::Checkpoint, m.retired(), self.inner.wall_us());
+        if self.ctl.stop_requested() || self.inner.tripwire_fired() {
+            ControlFlow::Break(Box::new(snap))
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+
+    fn shadow_check(
+        &mut self,
+        check: impl FnOnce() -> Result<ShadowReport, Box<Forensics>>,
+    ) -> Result<ShadowReport, Box<Forensics>> {
+        let span = self.tb.begin(SpanKind::ShadowCheck, 0, self.inner.wall_us());
+        let verdict = check();
+        self.tb.end(span, u64::from(verdict.is_err()), self.inner.wall_us());
+        verdict
+    }
+}
+
+/// The worker body: compile (fresh jobs), run in slices — as the
+/// lockstep of both engines when the job is shadowed, resumed segments
+/// included — and either finish the job or requeue it from its last
+/// checkpoint when stopped. Every phase lands in the job's trace.
 fn handle_job(inner: &Arc<Inner>, ctl: &WorkerCtl, mut job: Pending) {
     let t_exec = Instant::now();
     let busy = inner.m.registry.counter(&format!("service.shard_busy_us.{}", ctl.index));
 
-    // The trace builder moves into a RefCell so the `&dyn Fn` slice and
-    // checkpoint hooks below can record spans.
-    let tb = RefCell::new(
-        job.trace.take().unwrap_or_else(|| TraceBuilder::new(job.job_id, None)),
-    );
-    tb.borrow_mut().set_shard(ctl.index as u32);
+    let mut tb = job.trace.take().unwrap_or_else(|| TraceBuilder::new(job.job_id, None));
+    tb.set_shard(ctl.index as u32);
     if let Some(q) = job.queue_span.take() {
-        tb.borrow_mut().end(q, inner.queue.len() as u64, inner.wall_us());
+        tb.end(q, inner.queue.len() as u64, inner.wall_us());
     }
 
-    let tripwire_fired = {
-        let inner = Arc::clone(inner);
-        move || {
-            let at = inner.kill_at_checkpoint.load(Ordering::Relaxed);
-            at != 0 && inner.checkpoint_seq.load(Ordering::Relaxed) >= at
-        }
-    };
-    let stop = {
-        let tripwire = tripwire_fired.clone();
-        move || ctl.stop_requested() || tripwire()
-    };
-    let on_checkpoint = |retired: u64| {
-        inner.checkpoint_seq.fetch_add(1, Ordering::Relaxed);
-        inner.m.checkpoints.inc();
-        tb.borrow_mut().instant(SpanKind::Checkpoint, retired, inner.wall_us());
-    };
-    let on_slice = |before: u64, after: u64| {
-        let mut t = tb.borrow_mut();
-        let s = t.begin(SpanKind::Slice, before, None);
-        t.end(s, after, inner.wall_us());
-    };
-    let env = SliceEnv {
-        layout: &inner.layout,
-        checkpoint_every: inner.cfg.checkpoint_every.max(1),
-        stop: &stop,
-        on_checkpoint: &on_checkpoint,
-        on_slice: &on_slice,
-    };
-
-    let end = match &job.resume {
-        Some(snap) => {
-            let resumed_at = snap.retired();
-            let exec = tb.borrow_mut().begin(SpanKind::Exec, resumed_at, inner.wall_us());
-            let end =
-                run_sliced(&env, Start::Checkpoint(snap.clone()), job.spec.fuel, job.engine);
-            let retired = match &end {
-                ExecEnd::Done(out) => out.instructions,
-                ExecEnd::Killed(s) => s.retired(),
-            };
-            tb.borrow_mut().end(exec, retired, inner.wall_us());
-            end
-        }
+    let start = match job.resume.take() {
+        Some(snap) => Ok(snap.restore()),
         None => {
-            // Fresh job: compile, build the boot image, shadow-check if
-            // sampled, then run. Resumed segments never re-shadow: the
-            // fresh pass already verified the *whole* execution.
-            let compile = tb.borrow_mut().begin(SpanKind::Compile, 0, inner.wall_us());
-            match compile_source(&job.spec.source, inner.layout, &inner.compiler_cfg) {
-                Err(e) => {
-                    tb.borrow_mut().end(compile, 1, inner.wall_us());
-                    let mut out = internal_outcome("");
-                    out.status = JobStatus::CompileError;
-                    out.message = e.to_string();
-                    ExecEnd::Done(out)
+            if job.shadowed {
+                inner.m.shadow_jobs.inc();
+            }
+            boot_image(inner, &job.spec, &mut tb)
+        }
+    };
+    let mut out = match start {
+        Err(out) => out,
+        Ok(state) => {
+            let plan = Plan {
+                layout: &inner.layout,
+                engine: job.engine,
+                shadow: job.shadowed.then(|| Shadow {
+                    sample: inner.cfg.shadow.sample.max(1),
+                    fault_xor: inner.cfg.fault_xor,
+                }),
+                fuel: job.spec.fuel,
+                every: inner.cfg.checkpoint_every,
+            };
+            let exec = tb.begin(SpanKind::Exec, state.instructions_retired, inner.wall_us());
+            let end = silver::exec::run(state, &plan, &mut JobHooks { inner, ctl, tb: &mut tb });
+            let retired = match &end {
+                RunEnd::Done(f) => f.instructions,
+                RunEnd::Stopped(snap) => snap.retired(),
+                RunEnd::Diverged(fx) => fx.divergent_step.unwrap_or(0),
+            };
+            tb.end(exec, retired, inner.wall_us());
+            match end {
+                RunEnd::Done(f) => finished_outcome(f),
+                RunEnd::Diverged(fx) => {
+                    inner.m.divergences.inc();
+                    // The flight recorder's reason to exist: dump the
+                    // record, with this job's lifecycle so far attached.
+                    inner.dump_flight(&format!("divergence_job{}", job.job_id), &[tb.snapshot()]);
+                    status_outcome(JobStatus::Divergence, fx.render())
                 }
-                Ok(compiled) => {
-                    tb.borrow_mut().end(compile, 0, inner.wall_us());
-                    let args: Vec<&str> = job.spec.args.iter().map(String::as_str).collect();
-                    let build = tb.borrow_mut().begin(SpanKind::ImageBuild, 0, inner.wall_us());
-                    match build_image(&compiled, &args, &job.spec.stdin) {
-                        Err(e) => {
-                            tb.borrow_mut().end(build, 1, inner.wall_us());
-                            let mut out = internal_outcome("");
-                            out.status = JobStatus::ImageError;
-                            out.message = e.to_string();
-                            ExecEnd::Done(out)
-                        }
-                        Ok(image) => {
-                            tb.borrow_mut().end(build, 0, inner.wall_us());
-                            let mut diverged = None;
-                            if job.shadowed {
-                                inner.m.shadow_jobs.inc();
-                                let sample = inner.cfg.shadow.sample.max(1);
-                                let check = tb
-                                    .borrow_mut()
-                                    .begin(SpanKind::ShadowCheck, 0, inner.wall_us());
-                                match jet::run_shadow(
-                                    &image,
-                                    job.spec.fuel,
-                                    sample,
-                                    inner.cfg.fault_xor,
-                                ) {
-                                    Ok(_) => {
-                                        tb.borrow_mut().end(check, 0, inner.wall_us());
-                                    }
-                                    Err(fx) => {
-                                        tb.borrow_mut().end(check, 1, inner.wall_us());
-                                        inner.m.divergences.inc();
-                                        // The flight recorder's reason to
-                                        // exist: dump the record, with this
-                                        // job's lifecycle so far attached.
-                                        inner.dump_flight(
-                                            &format!("divergence_job{}", job.job_id),
-                                            &[tb.borrow().snapshot()],
-                                        );
-                                        let mut out = internal_outcome("");
-                                        out.status = JobStatus::Divergence;
-                                        out.message = fx.render();
-                                        diverged = Some(ExecEnd::Done(out));
-                                    }
-                                }
-                            }
-                            match diverged {
-                                Some(d) => d,
-                                None => {
-                                    let exec =
-                                        tb.borrow_mut().begin(SpanKind::Exec, 0, inner.wall_us());
-                                    let end = run_sliced(
-                                        &env,
-                                        Start::Image(Box::new(image)),
-                                        job.spec.fuel,
-                                        job.engine,
-                                    );
-                                    let retired = match &end {
-                                        ExecEnd::Done(out) => out.instructions,
-                                        ExecEnd::Killed(s) => s.retired(),
-                                    };
-                                    tb.borrow_mut().end(exec, retired, inner.wall_us());
-                                    end
-                                }
-                            }
-                        }
-                    }
+                RunEnd::Stopped(snap) => {
+                    busy.add(t_exec.elapsed().as_micros() as u64);
+                    requeue(inner, ctl, job, tb, snap);
+                    return;
                 }
             }
         }
     };
-
     busy.add(t_exec.elapsed().as_micros() as u64);
 
-    match end {
-        ExecEnd::Killed(snap) => {
-            // Disarm a fired tripwire and make this worker actually die,
-            // so the respawn path is exercised exactly like a real kill.
-            if tripwire_fired() {
-                inner.kill_at_checkpoint.store(0, Ordering::Relaxed);
-                ctl.request_stop();
-            }
-            inner.m.migrations.inc();
-            job.migrations += 1;
-            {
-                let mut t = tb.borrow_mut();
-                t.instant(SpanKind::Migrate, snap.retired(), inner.wall_us());
-                t.instant(SpanKind::Requeue, u64::from(job.migrations), inner.wall_us());
-                // The resumed segment waits on the queue again.
-                job.queue_span =
-                    Some(t.begin(SpanKind::QueueWait, inner.queue.len() as u64, inner.wall_us()));
-            }
-            // A dying worker is a flight-recorder moment: dump what every
-            // shard was doing when this one stopped mid-job.
-            inner.dump_flight(
-                &format!("worker_death_shard{}", ctl.index),
-                &[tb.borrow().snapshot()],
-            );
-            job.resume = Some(snap);
-            job.trace = Some(tb.into_inner());
-            if let Err(dropped) = inner.queue.push_front(job) {
-                let mut out = internal_outcome(
-                    "worker stopped mid-job after the queue closed; no resume path",
-                );
-                out.job_id = dropped.job_id;
-                let _ = dropped.tx.send(out);
-            }
-        }
-        ExecEnd::Done(mut out) => {
-            out.job_id = job.job_id;
-            out.shadowed = job.shadowed;
-            out.migrations = job.migrations;
-            out.engine = job.engine;
-            inner.tenants.settle(&job.spec.tenant, job.spec.fuel, out.instructions);
-            inner.cache.insert(job.key, &out);
-            inner.m.completed.inc();
-            inner.m.job_us.record(job.submitted.elapsed().as_micros() as u64);
-            inner.m.exec_us.record(t_exec.elapsed().as_micros() as u64);
-            {
-                let mut t = tb.borrow_mut();
-                t.instant(SpanKind::Reply, out.instructions, inner.wall_us());
-            }
-            inner.store_trace(tb.into_inner().finish());
-            let _ = job.tx.send(out);
-        }
+    out.job_id = job.job_id;
+    out.shadowed = job.shadowed;
+    out.migrations = job.migrations;
+    out.engine = job.engine;
+    inner.tenants.settle(&job.spec.tenant, job.spec.fuel, out.instructions);
+    inner.cache.insert(job.key, &out);
+    inner.m.completed.inc();
+    inner.m.job_us.record(job.submitted.elapsed().as_micros() as u64);
+    inner.m.exec_us.record(t_exec.elapsed().as_micros() as u64);
+    tb.instant(SpanKind::Reply, out.instructions, inner.wall_us());
+    inner.store_trace(tb.finish());
+    let _ = job.tx.send(out);
+}
+
+/// Puts a job stopped mid-run back at the queue front with its last
+/// checkpoint, for any worker to resume.
+fn requeue(
+    inner: &Inner,
+    ctl: &WorkerCtl,
+    mut job: Pending,
+    mut tb: TraceBuilder,
+    snap: Box<Snapshot>,
+) {
+    // Disarm a fired tripwire and make this worker actually die, so the
+    // respawn path is exercised exactly like a real kill.
+    if inner.tripwire_fired() {
+        inner.kill_at_checkpoint.store(0, Ordering::Relaxed);
+        ctl.request_stop();
+    }
+    inner.m.migrations.inc();
+    job.migrations += 1;
+    tb.instant(SpanKind::Migrate, snap.retired(), inner.wall_us());
+    tb.instant(SpanKind::Requeue, u64::from(job.migrations), inner.wall_us());
+    // The resumed segment waits on the queue again.
+    job.queue_span = Some(tb.begin(SpanKind::QueueWait, inner.queue.len() as u64, inner.wall_us()));
+    // A dying worker is a flight-recorder moment: dump what every shard
+    // was doing when this one stopped mid-job.
+    inner.dump_flight(&format!("worker_death_shard{}", ctl.index), &[tb.snapshot()]);
+    job.resume = Some(snap);
+    job.trace = Some(tb);
+    if let Err(dropped) = inner.queue.push_front(job) {
+        let mut out = status_outcome(
+            JobStatus::Internal,
+            "worker stopped mid-job after the queue closed; no resume path".to_string(),
+        );
+        out.job_id = dropped.job_id;
+        let _ = dropped.tx.send(out);
     }
 }

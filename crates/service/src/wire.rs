@@ -26,9 +26,10 @@
 use std::fmt;
 use std::io::{Read, Write};
 
+use ag32::Engine;
 use obs::trace::{JobTrace, Span, SpanKind};
 
-use crate::job::{EnginePref, JobOutcome, JobSpec, JobStatus, ServeEngine, ShadowPref};
+use crate::job::{EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref};
 
 /// Protocol version carried in every Submit payload.
 /// * v2: outcomes carry the job id; `Trace`/span-tree frames added.
@@ -208,10 +209,7 @@ fn encode_outcome(buf: &mut Vec<u8>, out: &JobOutcome) {
     put_bytes(buf, &out.stdout);
     put_bytes(buf, &out.stderr);
     put_u64(buf, out.instructions);
-    buf.push(match out.engine {
-        ServeEngine::Ref => 0,
-        ServeEngine::Jet => 1,
-    });
+    buf.push(out.engine.code());
     buf.push(u8::from(out.cached) | (u8::from(out.shadowed) << 1));
     put_u32(buf, out.migrations);
 }
@@ -416,11 +414,8 @@ fn decode_outcome(r: &mut Reader<'_>) -> Result<JobOutcome, WireError> {
     let stdout = r.bytes()?;
     let stderr = r.bytes()?;
     let instructions = r.u64()?;
-    let engine = match r.u8()? {
-        0 => ServeEngine::Ref,
-        1 => ServeEngine::Jet,
-        b => return Err(WireError::BadEnum("engine", b)),
-    };
+    let b = r.u8()?;
+    let engine = Engine::from_code(b).ok_or(WireError::BadEnum("engine", b))?;
     let flags = r.u8()?;
     let migrations = r.u32()?;
     Ok(JobOutcome {

@@ -3,6 +3,9 @@
 //! uninterrupted run — the PR 6 checkpoint contract, now exercised as
 //! live job migration through the shared work queue.
 //!
+//! Shadowed jobs migrate too: the lockstep of both engines is driven by
+//! the same slice loop, so a resumed segment is checked again.
+//!
 //! The kill uses the deterministic tripwire
 //! (`inject_kill_after_checkpoints`): the worker that captures the
 //! armed rolling checkpoint requeues its job *and genuinely stops*, so
@@ -10,7 +13,10 @@
 
 use std::time::{Duration, Instant};
 
-use service::{EnginePref, JobSpec, JobStatus, ServeEngine, Service, ServiceConfig};
+use service::{
+    Engine, EnginePref, JobOutcome, JobSpec, JobStatus, Service, ServiceConfig, ShadowPolicy,
+    ShadowPref,
+};
 
 const SORT: &str = r#"
 val input = read_all ();
@@ -41,27 +47,24 @@ fn cfg() -> ServiceConfig {
         shards: 1,
         checkpoint_every: 10_000,
         cache_capacity: 0, // force real execution on both runs
+        // No sampling: a sampled job would run as the lockstep, and the
+        // engine tests below must exercise the engine they name.
+        // Shadowed runs ask for it per job (`ShadowPref::Always`).
+        shadow: ShadowPolicy { every_jobs: 0, ..ShadowPolicy::default() },
         ..ServiceConfig::default()
     }
 }
 
-fn kill_resume_matches_uninterrupted(engine: EnginePref, expect_engine: ServeEngine) {
-    // Uninterrupted baseline on a fresh service.
-    let baseline_svc = Service::start(cfg());
-    let baseline = baseline_svc.submit(spec(engine)).expect("baseline admitted");
-    assert_eq!(baseline.status, JobStatus::Exited(0), "{baseline:?}");
-    assert_eq!(baseline.engine, expect_engine);
-    assert_eq!(baseline.migrations, 0);
-    baseline_svc.shutdown();
-
-    // Interrupted run: arm the tripwire, submit, wait for the worker to
-    // die mid-job, respawn a replacement, and collect the outcome.
-    let svc = Service::start(cfg());
-    svc.inject_kill_after_checkpoints(3);
-    let rx = svc.submit_async(spec(engine)).expect("job admitted");
+/// Runs `spec` on a fresh one-shard service whose only worker dies at
+/// rolling checkpoint `kill_at`; a respawned worker finishes the job
+/// from the checkpoint the dead one requeued.
+fn killed_and_resumed(cfg: ServiceConfig, spec: JobSpec, kill_at: u64) -> JobOutcome {
+    let svc = Service::start(cfg);
+    svc.inject_kill_after_checkpoints(kill_at);
+    let rx = svc.submit_async(spec).expect("job admitted");
 
     let deadline = Instant::now() + Duration::from_secs(120);
-    while svc.checkpoints() < 3 {
+    while svc.checkpoints() < kill_at {
         assert!(
             Instant::now() < deadline,
             "job produced only {} checkpoints before the tripwire point — \
@@ -77,23 +80,76 @@ fn kill_resume_matches_uninterrupted(engine: EnginePref, expect_engine: ServeEng
 
     let resumed = rx.recv_timeout(Duration::from_secs(120)).expect("migrated job completed");
     assert!(resumed.migrations >= 1, "job was never actually migrated: {resumed:?}");
+    assert_eq!(svc.spawned_workers(), 2);
+    svc.shutdown();
+    resumed
+}
+
+/// An uninterrupted run of `spec` on a fresh service.
+fn uninterrupted(spec: JobSpec) -> JobOutcome {
+    let svc = Service::start(cfg());
+    let out = svc.submit(spec).expect("baseline admitted");
+    assert_eq!(out.status, JobStatus::Exited(0), "{out:?}");
+    assert_eq!(out.migrations, 0);
+    svc.shutdown();
+    out
+}
+
+fn kill_resume_matches_uninterrupted(engine: EnginePref, expect_engine: Engine) {
+    let baseline = uninterrupted(spec(engine));
+    assert_eq!(baseline.engine, expect_engine);
+    let resumed = killed_and_resumed(cfg(), spec(engine), 3);
     assert_eq!(resumed.status, JobStatus::Exited(0), "{resumed:?}");
     assert!(
         resumed.result_bytes_eq(&baseline),
         "migrated run differs from uninterrupted run:\n  baseline: {baseline:?}\n  resumed: {resumed:?}"
     );
-    assert_eq!(svc.spawned_workers(), 2);
-    svc.shutdown();
 }
 
 #[test]
 fn killed_ref_job_resumes_byte_identical() {
-    kill_resume_matches_uninterrupted(EnginePref::Ref, ServeEngine::Ref);
+    kill_resume_matches_uninterrupted(EnginePref::Ref, Engine::Ref);
 }
 
 #[test]
 fn killed_jet_job_resumes_byte_identical() {
-    kill_resume_matches_uninterrupted(EnginePref::Jet, ServeEngine::Jet);
+    kill_resume_matches_uninterrupted(EnginePref::Jet, Engine::Jet);
+}
+
+/// A shadowed job runs as the lockstep of both engines, so it
+/// checkpoints and migrates like any other: killed mid-lockstep, it
+/// resumes shadowed on the replacement worker and ends byte-identical
+/// to an unshadowed run. The resumed segment really is checked — with
+/// a jet fault that first bites past the resume point, the resumed
+/// lockstep reports the divergence, anchored at that point.
+#[test]
+fn killed_shadowed_job_resumes_in_lockstep() {
+    let mut shadowed = spec(EnginePref::Jet);
+    shadowed.shadow = ShadowPref::Always;
+
+    let baseline = uninterrupted(spec(EnginePref::Jet));
+    assert!(!baseline.shadowed);
+    let resumed = killed_and_resumed(cfg(), shadowed.clone(), 3);
+    assert!(resumed.shadowed, "{resumed:?}");
+    assert_eq!(resumed.status, JobStatus::Exited(0), "{resumed:?}");
+    assert!(
+        resumed.result_bytes_eq(&baseline),
+        "migrated lockstep run differs from the unshadowed run:\n  baseline: {baseline:?}\n  resumed: {resumed:?}"
+    );
+
+    // The program's first ALU op is its 15th retire: the first segment
+    // reaches the boundary at retire 8 cleanly and dies there, and the
+    // fault bites in the resumed segment.
+    let faulty = ServiceConfig {
+        checkpoint_every: 8,
+        shadow: ShadowPolicy { every_jobs: 1, sample: 1 },
+        fault_xor: 1,
+        ..cfg()
+    };
+    let diverged = killed_and_resumed(faulty, shadowed, 1);
+    assert_eq!(diverged.status, JobStatus::Divergence, "{diverged:?}");
+    assert!(diverged.shadowed);
+    assert!(diverged.message.contains("replay anchor: retire 8"), "{}", diverged.message);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use service::{
-    serve, Client, Endpoint, EnginePref, JobSpec, JobStatus, RejectReason, ServeEngine, Service,
+    serve, Client, Endpoint, Engine, EnginePref, JobSpec, JobStatus, RejectReason, Service,
     ServiceConfig, ShadowPolicy, ShadowPref, TenantPolicy,
 };
 
@@ -41,7 +41,7 @@ fn two_tenants_one_computation_one_cache_hit() {
     assert_eq!(a.status, JobStatus::Exited(0), "{a:?}");
     assert_eq!(a.stdout, b"Hello from the verified stack!\n");
     assert!(!a.cached);
-    assert_eq!(a.engine, ServeEngine::Jet, "jet is the default engine");
+    assert_eq!(a.engine, Engine::Jet, "jet is the default engine");
 
     // Same program from another tenant: served from the cache,
     // byte-identical, and not metered against bob.
@@ -68,8 +68,8 @@ fn engines_agree_byte_for_byte_and_share_the_cache_key() {
     on_jet.engine = EnginePref::Jet;
     let r = svc.submit(on_ref).expect("ref admitted");
     let j = svc.submit(on_jet).expect("jet admitted");
-    assert_eq!(r.engine, ServeEngine::Ref);
-    assert_eq!(j.engine, ServeEngine::Jet);
+    assert_eq!(r.engine, Engine::Ref);
+    assert_eq!(j.engine, Engine::Jet);
     assert_eq!(r.stdout, b"apple\nmango\npear\n");
     assert!(r.result_bytes_eq(&j), "theorem J at the service level: {r:?} vs {j:?}");
     svc.shutdown();

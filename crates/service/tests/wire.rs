@@ -3,11 +3,12 @@
 //! wrong versions) fail with typed errors instead of misparses.
 
 use obs::trace::{JobTrace, Span, SpanKind};
-use service::job::{EnginePref, JobOutcome, JobSpec, JobStatus, ServeEngine, ShadowPref};
+use service::job::{EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref};
 use service::wire::{
     read_request, read_response, write_request, write_response, Request, Response, WireError,
     MAX_FRAME,
 };
+use service::Engine;
 
 fn spec() -> JobSpec {
     JobSpec {
@@ -30,7 +31,7 @@ fn outcome() -> JobOutcome {
         stdout: b"out bytes \xf0".to_vec(),
         stderr: b"err".to_vec(),
         instructions: 987_654,
-        engine: ServeEngine::Jet,
+        engine: Engine::Jet,
         cached: true,
         shadowed: true,
         migrations: 2,

@@ -17,6 +17,12 @@
 //! * [`verilog_level`] — the implementation↔Verilog correspondence of
 //!   theorem (10) and whole-program Verilog-level runs (theorem (7)).
 //!
+//! One layer down, it also hosts what every ISA engine shares:
+//! [`snapshot`] — byte-stable run checkpoints — and [`exec`], the one
+//! sliced, checkpointable run loop over [`ag32::Machine`] that the
+//! stack and the execution service both drive (reference, jet, or the
+//! two in lockstep).
+//!
 //! # Example
 //!
 //! Assemble a program, run it on the ISA and on the CPU implementation
@@ -43,13 +49,14 @@
 
 pub mod cpu;
 pub mod env;
+pub mod exec;
 pub mod lockstep;
 pub mod snapshot;
 pub mod trace;
 pub mod verilog_level;
 
 pub use cpu::silver_cpu;
-pub use snapshot::{SnapEngine, Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use env::{Latency, MemEnv, MemEnvConfig};
 pub use lockstep::{
     run_lockstep, run_lockstep_in, run_rtl_program, run_rtl_program_observed, LockstepError,

@@ -51,9 +51,8 @@
 
 use std::path::Path;
 
-use ag32::{ExecStats, IoEvent, Memory, Opcode, State};
+use ag32::{Engine, ExecStats, IoEvent, Machine, Memory, Opcode, State};
 use basis::FsState;
-use jet::Jet;
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SILVSNAP";
@@ -149,37 +148,17 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Which engine wrote the checkpoint. Informational: either engine can
-/// resume either snapshot (that is the point), but triage wants to know
-/// the provenance of a checkpoint it is replaying.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapEngine {
-    /// The reference interpreter (`ag32::State::next`).
-    Ref,
-    /// The jet translation-cache engine.
-    Jet,
-}
-
-impl SnapEngine {
-    /// `"ref"` or `"jet"`.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SnapEngine::Ref => "ref",
-            SnapEngine::Jet => "jet",
-        }
-    }
-}
-
 /// A run checkpoint: everything needed to resume on either engine.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// The captured machine state (reference-interpreter form; jet
-    /// captures go through [`Jet::to_state`], which writes the resident
-    /// mirror back into sparse memory first).
+    /// The captured machine state, in reference-interpreter form
+    /// ([`Machine::capture`]).
     pub state: State,
-    /// Which engine the checkpoint was taken under.
-    pub engine: SnapEngine,
+    /// Which engine the checkpoint was taken under. Informational:
+    /// either engine can resume either snapshot (that is the point),
+    /// but triage wants to know the provenance of a checkpoint it is
+    /// replaying.
+    pub engine: Engine,
     /// Interpreter-level filesystem model, for oracle-stepped runs.
     /// Machine-level runs (everything `silverc` executes) keep the
     /// external world inside memory + `io_events`, so this stays
@@ -187,17 +166,47 @@ pub struct Snapshot {
     pub fs: Option<FsState>,
 }
 
+/// Incremental FNV-1a-64: the snapshot body checksum, and the hash
+/// behind the service's content-addressed result cache.
+#[derive(Clone, Copy, Debug)]
+pub struct Fnv64(u64);
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv64 {
+    /// The empty-input hash state.
+    #[must_use]
+    pub fn new() -> Fnv64 {
+        Fnv64::default()
+    }
+
+    /// Feeds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    #[must_use]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// FNV-1a over `bytes` — the snapshot body checksum. Public so the
 /// corrupt-input tests can re-seal a deliberately damaged section and
 /// reach the inner decoders.
 #[must_use]
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.finish()
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -245,13 +254,10 @@ fn enc_ioev(events: &[IoEvent]) -> Vec<u8> {
     out
 }
 
-fn enc_run(retired: u64, engine: SnapEngine) -> Vec<u8> {
+fn enc_run(retired: u64, engine: Engine) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
     put_u64(&mut out, retired);
-    out.push(match engine {
-        SnapEngine::Ref => 0,
-        SnapEngine::Jet => 1,
-    });
+    out.push(engine.code());
     out.extend_from_slice(&[0u8; 7]);
     out
 }
@@ -375,14 +381,12 @@ fn dec_ioev(buf: &[u8]) -> Result<Vec<IoEvent>, SnapshotError> {
     Ok(events)
 }
 
-fn dec_run(buf: &[u8]) -> Result<(u64, SnapEngine), SnapshotError> {
+fn dec_run(buf: &[u8]) -> Result<(u64, Engine), SnapshotError> {
     let mut r = Rd::new(buf, "RUN");
     let retired = r.u64()?;
-    let engine = match r.u8()? {
-        0 => SnapEngine::Ref,
-        1 => SnapEngine::Jet,
-        e => return Err(r.corrupt(format!("unknown engine byte {e:#04x}"))),
-    };
+    let e = r.u8()?;
+    let engine =
+        Engine::from_code(e).ok_or_else(|| r.corrupt(format!("unknown engine byte {e:#04x}")))?;
     r.pad_zero(7)?;
     r.done()?;
     Ok((retired, engine))
@@ -403,19 +407,13 @@ fn dec_stat(buf: &[u8]) -> Result<ExecStats, SnapshotError> {
 }
 
 impl Snapshot {
-    /// Checkpoints the reference interpreter.
+    /// Checkpoints any engine. A jet capture writes the flat resident
+    /// mirror back into sparse memory, so a jet capture of an
+    /// equivalent run serialises to exactly the bytes a reference
+    /// capture does (modulo the provenance byte).
     #[must_use]
-    pub fn capture(state: &State) -> Snapshot {
-        Snapshot { state: state.clone(), engine: SnapEngine::Ref, fs: None }
-    }
-
-    /// Checkpoints the jet engine, via [`Jet::to_state`] (which writes
-    /// the flat resident mirror back into sparse memory — so a jet
-    /// capture of an equivalent run serialises to exactly the bytes a
-    /// reference capture does).
-    #[must_use]
-    pub fn capture_jet(jet: &Jet) -> Snapshot {
-        Snapshot { state: jet.to_state(), engine: SnapEngine::Jet, fs: None }
+    pub fn capture<M: Machine>(m: &M) -> Snapshot {
+        Snapshot { state: m.capture(), engine: M::ENGINE, fs: None }
     }
 
     /// Attaches the interpreter-level filesystem model.
@@ -431,23 +429,17 @@ impl Snapshot {
         self.state.instructions_retired
     }
 
-    /// A fresh reference-interpreter state ready to resume. The
-    /// accelerator hook is reset to the identity function (see the
-    /// module docs — `fn` pointers do not serialise).
+    /// A fresh machine state ready to resume on any engine (a jet
+    /// engine built from it starts with an empty translation cache —
+    /// cache contents are an acceleration detail, not machine state,
+    /// which is why cross-engine resume is sound). The accelerator hook
+    /// is reset to the identity function (see the module docs — `fn`
+    /// pointers do not serialise).
     #[must_use]
     pub fn restore(&self) -> State {
         let mut s = self.state.clone();
         s.accel = State::new().accel;
         s
-    }
-
-    /// A fresh jet engine ready to resume. The translation cache starts
-    /// empty and rebuilds lazily — cache contents are an acceleration
-    /// detail, not machine state, which is why cross-engine resume is
-    /// sound.
-    #[must_use]
-    pub fn restore_jet(&self) -> Jet {
-        Jet::from_state(&self.restore())
     }
 
     /// Serialises to format v1 bytes. Deterministic: equal observable
@@ -636,6 +628,7 @@ mod tests {
     use super::*;
     use ag32::asm::Assembler;
     use ag32::{Func, Reg, Ri};
+    use jet::Jet;
 
     /// A program exercising memory, flags, I/O ports and interrupts.
     fn busy_state() -> State {
@@ -667,7 +660,7 @@ mod tests {
         assert_eq!(bytes, Snapshot::capture(&s).to_bytes(), "capture is deterministic");
 
         let back = Snapshot::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back.engine, SnapEngine::Ref);
+        assert_eq!(back.engine, Engine::Ref);
         let restored = back.restore();
         assert!(restored.isa_visible_eq(&s));
         assert_eq!(restored.instructions_retired, s.instructions_retired);
@@ -681,15 +674,15 @@ mod tests {
         // Rewind to a fresh image: rebuild the same program state.
         boot = Snapshot::capture(&boot).restore();
         let ref_bytes = Snapshot::capture(&boot).to_bytes();
-        let jet_bytes = Snapshot::capture_jet(&Jet::from_state(&boot)).to_bytes();
+        let jet_bytes = Snapshot::capture(&Jet::from_state(&boot)).to_bytes();
         // Engine provenance differs (RUN section), everything else must
         // agree — compare after normalising the engine byte.
         let ref_snap = Snapshot::from_bytes(&ref_bytes).unwrap();
         let jet_snap = Snapshot::from_bytes(&jet_bytes).unwrap();
-        assert_eq!(jet_snap.engine, SnapEngine::Jet);
+        assert_eq!(jet_snap.engine, Engine::Jet);
         assert!(ref_snap.state.isa_visible_eq(&jet_snap.state));
         assert_eq!(
-            Snapshot { engine: SnapEngine::Ref, ..jet_snap }.to_bytes(),
+            Snapshot { engine: Engine::Ref, ..jet_snap }.to_bytes(),
             ref_bytes,
             "identical states serialise to identical bytes"
         );

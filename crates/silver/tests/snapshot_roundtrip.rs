@@ -10,9 +10,9 @@
 //! `TESTKIT_CASE_SEED=… cargo test …` reproduction command.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Instr, Reg, Ri, Shift, State};
+use ag32::{Engine, Func, Instr, Reg, Ri, Shift, State};
 use jet::Jet;
-use silver::snapshot::{SnapEngine, Snapshot};
+use silver::snapshot::Snapshot;
 use testkit::prop::Ctx;
 
 /// A random structured program: counted loops of ALU/shift work with
@@ -82,7 +82,7 @@ testkit::props! {
         let ref_bytes = Snapshot::capture(&pre).to_bytes();
         let mut jet_pre = Jet::from_state(&state);
         jet_pre.run(k);
-        let jet_bytes = Snapshot::capture_jet(&jet_pre).to_bytes();
+        let jet_bytes = Snapshot::capture(&jet_pre).to_bytes();
 
         for (origin, bytes) in [("ref", &ref_bytes), ("jet", &jet_bytes)] {
             let snap = Snapshot::from_bytes(bytes)
@@ -98,7 +98,7 @@ testkit::props! {
             assert_eq!(s.instructions_retired, total, "{origin}->ref retire count");
             assert_eq!(s.stats, base.stats, "{origin}->ref stats");
 
-            let mut j = snap.restore_jet();
+            let mut j = Jet::from_state(&snap.restore());
             j.run(remaining);
             assert!(
                 j.to_state().isa_visible_eq(&base),
@@ -123,12 +123,12 @@ testkit::props! {
         jet_pre.run(k);
 
         let ref_snap = Snapshot::capture(&pre);
-        let jet_snap = Snapshot::capture_jet(&jet_pre);
+        let jet_snap = Snapshot::capture(&jet_pre);
         let ref_bytes = ref_snap.to_bytes();
         assert_eq!(ref_bytes, ref_snap.to_bytes(), "re-encode is deterministic");
         assert_eq!(
             ref_bytes,
-            Snapshot { engine: SnapEngine::Ref, ..jet_snap }.to_bytes(),
+            Snapshot { engine: Engine::Ref, ..jet_snap }.to_bytes(),
             "ref and jet captures of the same run serialise identically (k={k})"
         );
     }

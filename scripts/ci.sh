@@ -39,6 +39,14 @@ cargo test -q
 echo "== benches compile =="
 cargo build --benches -p bench --offline 2>/dev/null || cargo build --benches -p bench
 
+echo "== frozen benchmark builds (--locked) =="
+# stackbench/ is its own workspace with a committed Cargo.lock that
+# records every crate edge it sees. A workspace API it uses changing,
+# or a dependency edge appearing or vanishing, fails this build. Its
+# own target dir keeps it apart from the workspace build above.
+CARGO_TARGET_DIR=target/stackbench-locked \
+    cargo build --release --offline --locked --manifest-path stackbench/Cargo.toml
+
 echo "== campaign smoke (offline, bounded) =="
 # A short wall-clock campaign over every registered target, seeded for
 # reproducibility. The committed corpus is copied to a scratch dir so
@@ -291,6 +299,24 @@ fi
 grep -q 'run_shadow' tests/engines.rs
 grep -q 'run_shadow' crates/campaign/src/targets.rs
 echo "ok: ref engine default, shadow off by default but exercised in checks"
+
+echo "== engine layering guard =="
+# Every ISA engine goes through one run loop (silver::exec) over
+# ag32::Machine, one engine enum and one exit predicate
+# (basis::halt_status). The halt sentinel may be compared only inside
+# crates/basis, and the per-engine copies this replaced must not
+# come back.
+if grep -rnE '[!=]= *(basis::image::)?EXIT_UNSET|EXIT_UNSET *[!=]=' \
+    --include='*.rs' crates tests examples | grep -v '^crates/basis/'; then
+    echo "EXIT_UNSET compared outside crates/basis; use basis::halt_status" >&2
+    exit 1
+fi
+if grep -rnE 'enum (ServeEngine|SnapEngine)\b|fn run_(ref|jet)_' \
+    --include='*.rs' crates tests examples; then
+    echo "a per-engine enum or run loop reappeared; use ag32::Engine / silver::exec::run" >&2
+    exit 1
+fi
+echo "ok: one run loop, one engine enum, one exit predicate"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read

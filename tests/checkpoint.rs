@@ -8,9 +8,7 @@
 
 use std::path::PathBuf;
 
-use silver_stack::{
-    apps, Backend, Engine, ExitStatus, RunConfig, SnapEngine, Snapshot, Stack, StackError,
-};
+use silver_stack::{apps, Backend, Engine, ExitStatus, RunConfig, Snapshot, Stack, StackError};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("silver-ckpt-{}-{name}", std::process::id()));
@@ -106,9 +104,9 @@ fn rolling_checkpoint_bytes_are_deterministic_and_engine_independent() {
     assert_eq!(files[0], files[1], "two identical runs write identical checkpoint bytes");
     // The jet capture differs only in the provenance byte.
     let jet_snap = Snapshot::from_bytes(&files[2]).expect("jet checkpoint loads");
-    assert_eq!(jet_snap.engine, SnapEngine::Jet);
+    assert_eq!(jet_snap.engine, Engine::Jet);
     assert_eq!(
-        Snapshot { engine: SnapEngine::Ref, ..jet_snap }.to_bytes(),
+        Snapshot { engine: Engine::Ref, ..jet_snap }.to_bytes(),
         files[0],
         "ref and jet rolling checkpoints are byte-identical modulo provenance"
     );
