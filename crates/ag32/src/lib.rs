@@ -62,9 +62,9 @@ pub use disasm::{disassemble, dump};
 pub use encode::{decode, encode};
 pub use exec::{alu, shifter, AluOut};
 pub use insn::{Func, Instr, Reg, Ri, Shift};
-pub use machine::{Engine, Machine};
+pub use machine::{Arch, Engine, Machine};
 pub use mem::Memory;
-pub use state::{IoEvent, State, StepOutcome};
+pub use state::{halts, jump_halts, IoEvent, State, StepOutcome};
 pub use trace::{MemOp, NoTrace, RetireEvent, RetireRing, Tracer};
 
 /// Machine word size in bytes; every instruction is one word long.

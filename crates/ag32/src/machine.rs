@@ -1,13 +1,14 @@
 //! The surface every ISA engine shares.
 //!
 //! The reference interpreter ([`State`]), the `jet` translation-cache
-//! engine and the `jet` lockstep shadow all implement the same `Next`
-//! semantics, so everything built on top — the sliced, checkpointed run
-//! loop, exit classification, snapshot capture, serving — is written
-//! once against [`Machine`] and instantiated per engine by
-//! monomorphisation.
+//! engine, the Silver CPU circuit (at retire granularity) and the
+//! lockstep of any of them against the reference all implement the same
+//! `Next` semantics, so everything built on top — the sliced,
+//! checkpointed run loop, exit classification, snapshot capture,
+//! serving, lockstep checking — is written once against [`Machine`] and
+//! instantiated per machine by monomorphisation.
 
-use crate::{ExecStats, IoEvent, State};
+use crate::{ExecStats, IoEvent, State, NUM_REGS};
 
 /// Which implementation of the ISA layer executes a program. Both
 /// implement the same `Next` semantics; [`Engine::Jet`] trades the
@@ -55,8 +56,28 @@ impl Engine {
     }
 }
 
-/// An executable ISA machine: what a run loop, an exit classifier and a
-/// checkpoint writer need to see of an engine.
+/// The architectural registers of a machine at an instruction boundary:
+/// what a lockstep compares after every retire. Memory and the I/O
+/// trace are compared only at the end of a run (via
+/// [`Machine::capture`]); the event count stands in for the trace here.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Arch {
+    /// Program counter.
+    pub pc: u32,
+    /// The general-purpose registers.
+    pub regs: [u32; NUM_REGS],
+    /// Carry flag.
+    pub carry: bool,
+    /// Overflow flag.
+    pub overflow: bool,
+    /// Output port.
+    pub data_out: u32,
+    /// Length of the I/O-event trace.
+    pub io_events: usize,
+}
+
+/// An executable ISA machine: what a run loop, an exit classifier, a
+/// checkpoint writer and a lockstep need to see of an engine.
 pub trait Machine {
     /// The engine whose state [`Machine::capture`] returns — the
     /// provenance a snapshot records.
@@ -83,6 +104,9 @@ pub trait Machine {
 
     /// Per-opcode retire counters.
     fn stats(&self) -> &ExecStats;
+
+    /// The architectural registers (see [`Arch`]).
+    fn arch(&self) -> Arch;
 
     /// The whole machine state in reference form, for a checkpoint.
     fn capture(&self) -> State;
@@ -117,6 +141,17 @@ impl Machine for State {
 
     fn stats(&self) -> &ExecStats {
         &self.stats
+    }
+
+    fn arch(&self) -> Arch {
+        Arch {
+            pc: self.pc,
+            regs: self.regs,
+            carry: self.carry,
+            overflow: self.overflow,
+            data_out: self.data_out,
+            io_events: self.io_events.len(),
+        }
     }
 
     fn capture(&self) -> State {

@@ -81,6 +81,32 @@ fn identity_accel(x: u32) -> u32 {
     x
 }
 
+/// The halt predicate every engine shares: whether `instr`, fetched at
+/// `pc` with operands read through `ri`, halts the machine. Halting
+/// instructions are an absolute self-jump (`Jump Snd` whose target
+/// equals the PC), a relative self-jump (`Jump Add` with a zero offset
+/// — the canonical halt emitted by the assembler), and a wedging
+/// `Reserved` instruction.
+#[inline]
+pub fn halts(instr: Instr, pc: u32, ri: impl Fn(Ri) -> u32) -> bool {
+    match instr {
+        Instr::Jump { func, a, .. } => jump_halts(func, ri(a), pc),
+        Instr::Reserved => true,
+        _ => false,
+    }
+}
+
+/// The jump half of [`halts`]: whether `Jump func` with operand value
+/// `target` at `pc` is a self-jump.
+#[inline]
+pub fn jump_halts(func: Func, target: u32, pc: u32) -> bool {
+    match func {
+        Func::Snd => target == pc,
+        Func::Add => target == 0,
+        _ => false,
+    }
+}
+
 impl Default for State {
     fn default() -> Self {
         State::new()
@@ -251,19 +277,10 @@ impl State {
     }
 
     /// `is_halted` (§2.4): the machine sits at "a program-specific location
-    /// where the machine remains for any further steps". Concretely: the
-    /// current instruction is an absolute self-jump (`Jump Snd` whose
-    /// target equals the PC), a relative self-jump (`Jump Add` with a zero
-    /// offset — the canonical halt emitted by the assembler), or a wedging
-    /// `Reserved` instruction.
+    /// where the machine remains for any further steps" — see [`halts`].
     #[must_use]
     pub fn is_halted(&self) -> bool {
-        match self.current_instr() {
-            Instr::Jump { func: Func::Snd, a, .. } => self.ri(a) == self.pc,
-            Instr::Jump { func: Func::Add, a, .. } => self.ri(a) == 0,
-            Instr::Reserved => true,
-            _ => false,
-        }
+        halts(self.current_instr(), self.pc, |r| self.ri(r))
     }
 
     /// The ISA-visible components compared by the paper's family of

@@ -51,7 +51,7 @@ pub use cakeml::TargetLayout;
 pub use fs::FsState;
 pub use image::{build_image, ImageError};
 pub use machine::{
-    classify_exit, extract_streams, halt_status, run_to_halt, run_to_halt_observed,
+    classify_exit, extract_streams, run_to_halt, run_to_halt_observed,
     run_to_halt_traced, run_to_halt_with, run_with_oracle, run_with_oracle_traced, ExitStatus,
     MachineResult,
 };

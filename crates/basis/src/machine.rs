@@ -90,9 +90,11 @@ pub fn extract_streams(events: &[IoEvent]) -> (Vec<u8>, Vec<u8>) {
     (stdout, stderr)
 }
 
-/// Exit classification shared by every ISA engine — the `run_to_halt`
+/// Exit classification shared by every machine — the `run_to_halt`
 /// variants here, the sliced run loop behind `silver-stack` and the
-/// service (reference, jet and lockstep alike), and snapshot resume.
+/// service (reference, jet and lockstep alike), snapshot resume, and the
+/// circuit and Verilog backends. A machine exited only if it sits in
+/// the halt loop *and* the program stored a code in the exit-code slot.
 /// `fuel_left` says whether the run stopped with budget remaining; a
 /// non-halted machine with no fuel left is [`ExitStatus::OutOfFuel`].
 /// Keeping this in one place is what makes a resumed run classify
@@ -102,17 +104,8 @@ pub fn classify_exit<M: Machine>(m: &M, layout: &TargetLayout, fuel_left: bool) 
     if !fuel_left && !m.is_halted() {
         return ExitStatus::OutOfFuel;
     }
-    halt_status(m.pc(), m.read_word(layout.exit_code_addr), layout)
-}
-
-/// The verdict on a machine that stopped at `pc` with `exit_word` in
-/// the exit-code slot: it exited only if it sits in the halt loop
-/// *and* the program stored a code there. Every layer — the ISA
-/// engines through [`classify_exit`], and the circuit and Verilog
-/// simulations directly — decides exits with this one predicate.
-#[must_use]
-pub fn halt_status(pc: u32, exit_word: u32, layout: &TargetLayout) -> ExitStatus {
-    if pc == layout.halt_addr && exit_word != EXIT_UNSET {
+    let exit_word = m.read_word(layout.exit_code_addr);
+    if m.pc() == layout.halt_addr && exit_word != EXIT_UNSET {
         ExitStatus::Exited(exit_word as u8)
     } else {
         ExitStatus::Wedged

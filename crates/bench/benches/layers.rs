@@ -4,10 +4,9 @@
 //! setup synthesises a bitstream instead of simulating.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Reg, Ri, State};
+use ag32::{Func, Machine, Reg, Ri, State};
 use silver::env::MemEnvConfig;
-use silver::lockstep::{env_from_isa, init_rtl_from_isa};
-use silver::silver_cpu;
+use silver::CircuitMachine;
 use testkit::bench::Bench;
 
 /// A tight counted loop: 3 instructions per iteration plus setup.
@@ -37,54 +36,22 @@ fn main() {
     });
 
     // Circuit level: clock cycles per second.
-    let circuit = silver_cpu();
     b.bench("layer3_rtl_loop_2000", || {
-        let s = loop_program(2000);
-        let mut env = env_from_isa(&s, MemEnvConfig::default());
-        let mut st = init_rtl_from_isa(&circuit, &s);
-        let mut cycles = 0u64;
-        while st.get_scalar("retired").unwrap() < 6004 {
-            rtl::interp::step(&circuit, &mut env, &mut st, cycles).unwrap();
-            cycles += 1;
-        }
-        cycles
+        let mut m = CircuitMachine::new(&loop_program(2000), MemEnvConfig::default(), u64::MAX);
+        m.run(u64::MAX);
+        assert!(m.error().is_none() && m.is_halted());
+        m.cycles()
     });
 
     // Verilog level: same machine, bit-vector semantics (much smaller
     // workload — this is the slowest layer).
-    let module = rtl::generate(&circuit).expect("codegen");
     b.bench("layer4_verilog_loop_50", || {
-        let s = loop_program(50);
-        let mut env = env_from_isa(&s, MemEnvConfig::default());
-        let mut rtl_st = init_rtl_from_isa(&circuit, &s);
-        let mut v_st = module.initial_state().unwrap();
-        for (name, value) in rtl_st.iter() {
-            match rtl::equiv::to_verilog_value(value) {
-                verilog::ast::ValueOrArray::Value(v) => {
-                    v_st.set(name, v).unwrap();
-                }
-                verilog::ast::ValueOrArray::Unpacked(es) => {
-                    for (i, e) in es.into_iter().enumerate() {
-                        v_st.set_index(name, i as u64, e).unwrap();
-                    }
-                }
-            }
-        }
-        let mut cycles = 0u64;
-        while rtl_st.get_scalar("retired").unwrap() < 154 {
-            use rtl::interp::RtlEnv as _;
-            let driven = env.drive(cycles, &rtl_st);
-            for (name, value) in &driven {
-                rtl_st.set(name, value.clone()).unwrap();
-                if let verilog::ast::ValueOrArray::Value(v) = rtl::equiv::to_verilog_value(value) {
-                    v_st.set(name, v).unwrap();
-                }
-            }
-            rtl::interp::cycle(&circuit, &mut rtl_st).unwrap();
-            verilog::eval::cycle(&module, &mut v_st).unwrap();
-            cycles += 1;
-        }
-        cycles
+        let mut m = CircuitMachine::new(&loop_program(50), MemEnvConfig::default(), u64::MAX)
+            .with_verilog()
+            .expect("codegen");
+        m.run(u64::MAX);
+        assert!(m.error().is_none() && m.is_halted());
+        m.cycles()
     });
 
     b.finish();

@@ -22,6 +22,7 @@
 
 use std::ops::ControlFlow;
 
+use ag32::Machine as _;
 use basis::{build_image, run_to_halt_with, run_with_oracle, BasisHost, ExitStatus, FsState};
 use cakeml::{
     compile_source, frontend, program_features, run_program, CompilerConfig, NoFfi, Stop,
@@ -214,46 +215,32 @@ impl Target for CompilerTarget {
         );
         s.pc = layout.code_base;
 
-        if self.jet {
-            // Full shadow first: theorem J over the whole execution,
-            // with forensics on divergence. Then the jet verdict run
-            // (cheap next to the shadow) for exit code and stats; edge
-            // coverage stays empty — this family is throughput-oriented.
-            if let Err(fx) = jet::run_shadow(&s, 100_000_000, 1, 0) {
-                return CaseOutcome::fail(
-                    cov,
-                    "jet vs isa",
-                    format!("{}\nfor:\n{src}", fx.render()),
-                );
+        // On the jet family the run is the theorem-J lockstep of jet and
+        // the reference (its state is the reference side's, equal to
+        // jet's once the lockstep passed); edge coverage stays empty —
+        // this family is throughput-oriented.
+        let layer = if self.jet {
+            let mut ls = jet::Lockstep::new(&s, 1, 0);
+            ls.run(100_000_000);
+            if let Err(fx) = ls.finish() {
+                let message = format!("{}\nfor:\n{src}", fx.render());
+                return CaseOutcome::fail(cov, "jet vs isa", message);
             }
-            let mut j = jet::Jet::from_state(&s);
-            j.run(100_000_000);
-            cov.stats = j.stats.clone();
-            if !j.is_halted() {
-                return CaseOutcome::fail(cov, "jet", format!("compiled code did not halt\n{src}"));
-            }
-            let got = j.mem().read_word(layout.exit_code_addr) as u8;
-            if got != spec {
-                return CaseOutcome::fail(
-                    cov,
-                    "jet vs source",
-                    format!("exit {got} vs {spec} for:\n{src}"),
-                );
-            }
-            return CaseOutcome::pass(cov);
-        }
-
-        s.run_with(100_000_000, &mut cov.edges);
+            s = ls.capture();
+            "jet"
+        } else {
+            s.run_with(100_000_000, &mut cov.edges);
+            "isa"
+        };
+        cov.stats = s.stats.clone();
         if !s.is_halted() {
-            cov.stats = s.stats.clone();
-            return CaseOutcome::fail(cov, "isa", format!("compiled code did not halt\n{src}"));
+            return CaseOutcome::fail(cov, layer, format!("compiled code did not halt\n{src}"));
         }
         let got = s.mem.read_word(layout.exit_code_addr) as u8;
-        cov.stats = s.stats.clone();
         if got != spec {
             return CaseOutcome::fail(
                 cov,
-                "isa vs source",
+                &format!("{layer} vs source"),
                 format!("exit {got} vs {spec} for:\n{src}"),
             );
         }
@@ -286,70 +273,43 @@ impl Target for LockstepTarget {
             seed: ctx.draw(u64::MAX),
         };
 
-        // ISA-side coverage run (also the spec side of the relation).
+        // ISA-side coverage run.
         let mut cov = CovSnap::new();
         let mut isa = state.clone();
-        isa.accel = |x| x;
         isa.run_with(max_instructions, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
         let max_cycles = max_instructions * 64 + 10_000;
-        match silver::lockstep::run_lockstep(&state, max_instructions, cfg.clone(), max_cycles) {
-            Ok(_) => CaseOutcome::pass(cov),
-            Err(e) => {
-                // Re-run the failing case under the forensic harness so
-                // the failure record (and, after triage shrinks it, the
-                // minimal counterexample) carries the divergence report:
-                // divergent cycle, retire tails on both sides, register
-                // deltas, and a VCD window.
-                let mut message = e.to_string();
-                let mut fuel_saved = None;
-                if let Err(mut fx) = silver::trace::run_lockstep_forensic(
-                    &silver::silver_cpu(),
-                    &state,
-                    max_instructions,
-                    cfg.clone(),
-                    max_cycles,
-                    &silver::trace::ForensicConfig::default(),
-                ) {
-                    // Checkpoint-anchored triage: replay from the last
-                    // 64-retire boundary before the divergence instead
-                    // of from reset. The ISA prefix is deterministic, so
-                    // the anchor state is exactly what a rolling
-                    // checkpoint would have captured there.
-                    if let Some(d) = fx.divergent_step {
-                        let anchor = d.saturating_sub(d % 64);
-                        if anchor > 0 && anchor < max_instructions {
-                            let mut pre = state.clone();
-                            pre.run(anchor);
-                            let replay = silver::lockstep::run_lockstep(
-                                &pre,
-                                max_instructions - anchor,
-                                cfg,
-                                max_cycles,
-                            );
-                            fx.replay_anchor = Some(anchor);
-                            fx.notes.push(format!(
-                                "checkpoint-anchored replay from retire {anchor}: {} (saved {anchor} boot retires)",
-                                if replay.is_err() {
-                                    "reproduced"
-                                } else {
-                                    "not reproduced (environment-schedule dependent; replay from boot)"
-                                }
-                            ));
-                            fuel_saved = Some(anchor);
-                        }
-                    }
-                    message.push('\n');
-                    message.push_str(&fx.render());
+        let verdict = silver::run_lockstep(&state, max_instructions, cfg.clone(), max_cycles);
+        let mut fx = match verdict {
+            Ok(_) => return CaseOutcome::pass(cov),
+            Err(fx) => fx,
+        };
+        // The report carries the divergence forensics (divergent retire
+        // and cycle, retire tails on both sides, register deltas, a VCD
+        // window) into the failure record and, after triage shrinks it,
+        // the minimal counterexample. Checkpoint-anchored triage: replay
+        // from the last 64-retire boundary at or before the divergent
+        // retire instead of from reset. The ISA prefix is deterministic,
+        // so the anchor state is exactly what a rolling checkpoint would
+        // have captured there.
+        let anchor =
+            fx.divergent_step.map(|d| d - d % 64).filter(|&a| a > 0 && a < max_instructions);
+        if let Some(anchor) = anchor {
+            let mut pre = state.clone();
+            pre.run(anchor);
+            let replay = silver::run_lockstep(&pre, max_instructions - anchor, cfg, max_cycles);
+            fx.replay_anchor = Some(anchor);
+            fx.notes.push(format!(
+                "checkpoint-anchored replay from retire {anchor}: {} (saved {anchor} boot retires)",
+                if replay.is_err() {
+                    "reproduced"
+                } else {
+                    "not reproduced (environment-schedule dependent; replay from boot)"
                 }
-                let out = CaseOutcome::fail(cov, "rtl vs isa", message);
-                match fuel_saved {
-                    Some(n) => out.with_fuel_saved(n),
-                    None => out,
-                }
-            }
+            ));
         }
+        CaseOutcome { fuel_saved: anchor, ..CaseOutcome::fail(cov, "rtl vs isa", fx.render()) }
     }
 }
 
@@ -386,23 +346,12 @@ impl Target for VerilogTarget {
         isa.run_with(cycles, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
-        match silver::verilog_level::check_cpu_verilog_equiv(&state, cfg.clone(), cycles) {
+        // One observed run: a divergence comes back with its forensics —
+        // the divergent cycle and signal, both sides' signal tails and a
+        // VCD window.
+        match silver::check_cpu_verilog_equiv(&state, cfg, cycles) {
             Ok(()) => CaseOutcome::pass(cov),
-            Err(e) => {
-                // Forensic re-run: name the divergent cycle and signal,
-                // attach both sides' signal tails and a VCD window.
-                let mut message = e.to_string();
-                if let Err(fx) = silver::trace::check_cpu_verilog_equiv_forensic(
-                    &state,
-                    cfg,
-                    cycles,
-                    &silver::trace::ForensicConfig::default(),
-                ) {
-                    message.push('\n');
-                    message.push_str(&fx.render());
-                }
-                CaseOutcome::fail(cov, "verilog vs rtl", message)
-            }
+            Err(fx) => CaseOutcome::fail(cov, "verilog vs rtl", fx.render()),
         }
     }
 }

@@ -7,14 +7,16 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use ag32::{Machine, State};
-use basis::{build_image, extract_streams, halt_status, ExitStatus, ImageError};
+use basis::{build_image, ExitStatus, ImageError};
 use cakeml::{CompileError, CompiledProgram, CompilerConfig, TargetLayout};
 use obs::CycleProfiler;
+use rtl::interp::NoCycleObserver;
 use silver::env::{Latency, MemEnvConfig};
-use silver::exec::{Hooks, Plan, RunEnd, Shadow};
+use silver::exec::{Finished, Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::LockstepError;
+use silver::machine::{CircuitMachine, CycleObserver};
 use silver::snapshot::{Snapshot, SnapshotError};
-use silver::trace::{PcSampler, RtlVcd, VerilogVcd};
+use silver::trace::{PcSampler, Vcd};
 
 /// Checkpoint cadence used when [`RunConfig::checkpoint`] names a file
 /// but no interval was chosen.
@@ -130,8 +132,7 @@ pub struct StackResult {
     pub stdout: Vec<u8>,
     /// Standard error bytes.
     pub stderr: Vec<u8>,
-    /// Instructions retired (ISA/RTL backends; RTL reports its retired
-    /// counter).
+    /// Instructions retired (on the hardware backends, by the circuit).
     pub instructions: u64,
     /// Clock cycles (hardware backends only).
     pub cycles: Option<u64>,
@@ -338,15 +339,8 @@ impl Stack {
     ) -> Result<StackResult, StackError> {
         match backend {
             Backend::Isa => self.run_isa(image, rc),
-            Backend::Rtl => {
-                let (rtl_state, env, cycles) =
-                    silver::run_rtl_program(&image, rc.env.clone(), rc.max_cycles)?;
-                self.rtl_result(&rtl_state, &env, cycles)
-            }
-            Backend::Verilog => {
-                let (fin, env, cycles) =
-                    silver::run_verilog_program(&image, rc.env.clone(), rc.max_cycles)?;
-                Ok(self.verilog_result(&fin, &env, cycles))
+            Backend::Rtl | Backend::Verilog => {
+                Ok(self.run_hw(&image, backend, rc, NoCycleObserver)?.0)
             }
         }
     }
@@ -434,59 +428,28 @@ impl Stack {
                     None => isa_result(r),
                 }
             }
-            Backend::Rtl => {
+            Backend::Rtl | Backend::Verilog => {
                 let vcd = match &ocfg.vcd {
-                    Some(path) => Some(RtlVcd::new(
+                    Some(path) => Some(Vcd::new(
                         BufWriter::new(File::create(path)?),
                         &silver::silver_cpu(),
                         "silver_cpu",
                     )?),
                     None => None,
                 };
-                let mut observers = (vcd, self.sampler(compiled, ocfg));
-                let (rtl_state, env, cycles) = silver::run_rtl_program_observed(
-                    &image,
-                    rc.env.clone(),
-                    rc.max_cycles,
-                    &mut observers,
-                )?;
-                if let Some(vcd) = observers.0 {
+                let sampler = ocfg
+                    .profile
+                    .then(|| PcSampler::new(CycleProfiler::new(compiled.symbols.to_ranges())));
+                let (result, (vcd, sampler)) = self.run_hw(&image, backend, rc, (vcd, sampler))?;
+                if let Some(vcd) = vcd {
                     vcd.finish()?;
                     obs.vcd = ocfg.vcd.clone();
                 }
-                obs.profile = observers.1.map(|s| s.profiler);
-                self.rtl_result(&rtl_state, &env, cycles)?
-            }
-            Backend::Verilog => {
-                let vcd = match &ocfg.vcd {
-                    Some(path) => Some(VerilogVcd::new(
-                        BufWriter::new(File::create(path)?),
-                        &silver::silver_cpu(),
-                        "silver_cpu",
-                    )?),
-                    None => None,
-                };
-                let mut observers = (vcd, self.sampler(compiled, ocfg));
-                let (fin, env, cycles) = silver::run_verilog_program_observed(
-                    &image,
-                    rc.env.clone(),
-                    rc.max_cycles,
-                    &mut observers,
-                )?;
-                if let Some(vcd) = observers.0 {
-                    vcd.finish()?;
-                    obs.vcd = ocfg.vcd.clone();
-                }
-                obs.profile = observers.1.map(|s| s.profiler);
-                self.verilog_result(&fin, &env, cycles)
+                obs.profile = sampler.map(|s| s.profiler);
+                result
             }
         };
         Ok((result, obs))
-    }
-
-    /// The hardware backends' cycle profiler, when profiling is asked for.
-    fn sampler(&self, compiled: &CompiledProgram, ocfg: &Observe) -> Option<PcSampler> {
-        ocfg.profile.then(|| PcSampler::new(CycleProfiler::new(compiled.symbols.to_ranges())))
     }
 
     /// Resumes a checkpoint on the configured engine — including
@@ -535,20 +498,15 @@ impl Stack {
         let mut hooks =
             Rolling { path: rc.checkpoint.as_deref(), shadowed: plan.shadow.is_some(), anchor: None };
         match silver::exec::run(start, &plan, &mut hooks) {
-            RunEnd::Done(f) => Ok(StackResult {
-                exit: f.exit,
-                stdout: f.stdout,
-                stderr: f.stderr,
-                instructions: f.instructions,
-                cycles: None,
-                stats: Some(f.stats),
-            }),
+            RunEnd::Done(f) => Ok(f.into()),
             RunEnd::Stopped(e) => Err(StackError::Snapshot(e)),
             RunEnd::Diverged(mut fx) => {
                 if let (Some(anchor), Some(sh)) = (hooks.anchor, plan.shadow) {
+                    // The divergent retire is index `step`, so the
+                    // replay must retire `step + 1 − at`; 8 more is slack.
                     let at = anchor.retired();
                     let step = fx.divergent_step.unwrap_or(at);
-                    let replay_fuel = step.saturating_sub(at).saturating_add(8);
+                    let replay_fuel = (step + 1).saturating_sub(at).saturating_add(8);
                     let reproduced = jet::run_shadow(&anchor.restore(), replay_fuel, sh.sample, 0)
                         .is_err();
                     fx.notes.push(format!(
@@ -571,39 +529,29 @@ impl Stack {
         }
     }
 
-    fn rtl_result(
+    /// Runs a loaded image on the circuit — mirrored by its generated
+    /// Verilog on [`Backend::Verilog`] — with `obs` seeing every cycle,
+    /// and classifies the end like an ISA run. The hardware backends
+    /// have no retire budget, only [`RunConfig::max_cycles`].
+    fn run_hw<O: CycleObserver>(
         &self,
-        rtl_state: &rtl::RtlState,
-        env: &silver::env::MemEnv,
-        cycles: u64,
-    ) -> Result<StackResult, StackError> {
-        let (stdout, stderr) = extract_streams(&env.io_events);
-        let instructions = rtl_state
-            .get_scalar("retired")
-            .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))?;
-        let pc = rtl_state
-            .get_scalar("pc")
-            .map_err(|e| StackError::Hardware(LockstepError::Rtl(e)))?;
-        let exit = self.hw_exit(pc as u32, env);
-        Ok(StackResult { exit, stdout, stderr, instructions, cycles: Some(cycles), stats: None })
-    }
-
-    fn verilog_result(
-        &self,
-        fin: &verilog::eval::VarState,
-        env: &silver::env::MemEnv,
-        cycles: u64,
-    ) -> StackResult {
-        let (stdout, stderr) = extract_streams(&env.io_events);
-        let pc = fin.get("pc").map(|v| v.as_u64() as u32).unwrap_or(0);
-        let exit = self.hw_exit(pc, env);
-        StackResult { exit, stdout, stderr, instructions: 0, cycles: Some(cycles), stats: None }
-    }
-
-    /// The hardware simulations' exit verdict: the circuit's final PC
-    /// against the exit-code word in the lab environment's memory.
-    fn hw_exit(&self, pc: u32, env: &silver::env::MemEnv) -> ExitStatus {
-        halt_status(pc, env.mem.read_word(self.layout.exit_code_addr), &self.layout)
+        image: &State,
+        backend: Backend,
+        rc: &RunConfig,
+        obs: O,
+    ) -> Result<(StackResult, O), StackError> {
+        let cpu = silver::silver_cpu();
+        let mut m = CircuitMachine::with_circuit(cpu, image, rc.env.clone(), rc.max_cycles, obs);
+        if backend == Backend::Verilog {
+            m = m.with_verilog()?;
+        }
+        m.run(u64::MAX);
+        if let Some(e) = m.error() {
+            return Err(StackError::Hardware(e.clone()));
+        }
+        let f = silver::exec::finished(&m, &self.layout, u64::MAX);
+        let result = StackResult { cycles: Some(m.cycles()), stats: None, ..f.into() };
+        Ok((result, m.into_observer()))
     }
 }
 
@@ -634,6 +582,19 @@ impl Hooks for Rolling<'_> {
             self.anchor = Some(snap);
         }
         ControlFlow::Continue(())
+    }
+}
+
+impl From<Finished> for StackResult {
+    fn from(f: Finished) -> Self {
+        StackResult {
+            exit: f.exit,
+            stdout: f.stdout,
+            stderr: f.stderr,
+            instructions: f.instructions,
+            cycles: None,
+            stats: Some(f.stats),
+        }
     }
 }
 

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use ag32::{
-    alu, decode, shifter, Engine, ExecStats, Func, Instr, IoEvent, Machine, Opcode, State, NUM_REGS,
+    alu, decode, shifter, Arch, Engine, ExecStats, IoEvent, Machine, Opcode, State, NUM_REGS,
 };
 
 use crate::block::{lower, Block, Op, Src, BLOCK_CAP};
@@ -174,22 +174,10 @@ impl Jet {
         self.counters
     }
 
-    /// The instruction the PC points at (word-granular fetch, like
-    /// [`ag32::State::current_instr`]).
-    #[must_use]
-    pub fn fetch_instr(&self) -> Instr {
-        decode(self.mem.read_word(self.pc & !3))
-    }
-
-    /// Mirrors [`ag32::State::is_halted`] over the jet memory.
+    /// [`ag32::halts`] over the jet memory, as [`ag32::State::is_halted`].
     #[must_use]
     pub fn is_halted(&self) -> bool {
-        match self.fetch_instr() {
-            Instr::Jump { func: Func::Snd, a, .. } => self.ri(a) == self.pc,
-            Instr::Jump { func: Func::Add, a, .. } => self.ri(a) == 0,
-            Instr::Reserved => true,
-            _ => false,
-        }
+        ag32::halts(decode(self.mem.read_word(self.pc & !3)), self.pc, |r| self.ri(r))
     }
 
     fn ri(&self, ri: ag32::Ri) -> u32 {
@@ -299,12 +287,7 @@ impl Jet {
             }
             Op::Jump { func, w, a } => {
                 let av = self.src(a);
-                let halted = match func {
-                    Func::Snd => av == pc,
-                    Func::Add => av == 0,
-                    _ => false,
-                };
-                if halted {
+                if ag32::jump_halts(func, av, pc) {
                     return (pc, OpExit::Halted);
                 }
                 let out = alu(func, pc, av, self.carry, self.overflow);
@@ -560,6 +543,17 @@ impl Machine for Jet {
         &self.stats
     }
 
+    fn arch(&self) -> Arch {
+        Arch {
+            pc: self.pc,
+            regs: self.regs,
+            carry: self.carry,
+            overflow: self.overflow,
+            data_out: self.data_out,
+            io_events: self.io_events.len(),
+        }
+    }
+
     /// Writes the resident mirror back into sparse memory, so a jet
     /// capture of a state serialises to exactly the bytes a reference
     /// capture of the same state does.
@@ -572,7 +566,7 @@ impl Machine for Jet {
 mod tests {
     use super::*;
     use ag32::asm::Assembler;
-    use ag32::{Reg, Ri};
+    use ag32::{Func, Instr, Reg, Ri};
 
     fn count_to_ten() -> State {
         let mut a = Assembler::new(0);

@@ -1,29 +1,25 @@
-//! Shadow mode: theorem J as an executable obligation.
+//! Shadow mode: theorem J — and theorem (9) — as an executable
+//! obligation.
 //!
-//! [`Lockstep`] runs the reference interpreter (`ag32::State::next`)
-//! and the [`Jet`] engine in lockstep over the same image. It is itself
-//! an [`ag32::Machine`], so the sliced run loop that drives either
-//! engine drives the pair too: a shadowed run checkpoints, stops and
-//! resumes like any other. The PC is compared after *every* retired
-//! instruction; the full architectural register file, flags and port
-//! state every `sample` retires (`sample == 1` is full shadow); and at
-//! the end of the run — halt, wedge or fuel exhaustion — the complete
-//! states including memory and the I/O-event traces must agree.
-//!
-//! On the first divergence the checker stops and renders an
-//! [`obs::Forensics`] report naming the divergent retire index, every
-//! differing field with both values, and the last retires on each side
-//! — the same report shape the ISA↔RTL lockstep (t9) emits, so triage
-//! tooling reads both uniformly.
+//! [`Lockstep`] runs the reference interpreter (`ag32::State::next`) and
+//! an implementation [`Machine`] — the [`Jet`] engine (theorem J) or the
+//! Silver CPU circuit (theorem (9), built by the `silver` crate) — a
+//! retire at a time over the same image. It is itself a [`Machine`], so
+//! any run loop drives, checkpoints and resumes it. The PC is compared
+//! after every retire, the architectural state ([`Arch`]) every `sample`
+//! retires, and memory and the I/O-event traces at the end of the run.
+//! The first divergence yields an [`obs::Forensics`] report: the
+//! divergent retire index (zero-based), every differing field with both
+//! values, and the last retires on each side.
 
 use std::collections::VecDeque;
 
-use ag32::{Engine, ExecStats, Instr, IoEvent, Machine, State};
+use ag32::{decode, Arch, Engine, ExecStats, IoEvent, Machine, State};
 use obs::{Forensics, RegDelta};
 
 use crate::engine::Jet;
 
-/// How many retires each side keeps for the forensics tail.
+/// How many retires each side keeps for the forensics tail by default.
 const TAIL: usize = 8;
 
 /// Statistics from a clean shadow run.
@@ -39,54 +35,52 @@ fn hex(v: u32) -> String {
     format!("{v:#010x}")
 }
 
-fn tail_line(seq: u64, pc: u32, instr: &Instr) -> String {
-    format!("#{seq} {} {instr}", hex(pc))
+/// The forensics-tail line for the instruction `m` is about to retire.
+fn tail_line<M: Machine>(m: &M) -> String {
+    let pc = m.pc();
+    format!("#{} {} {}", m.retired(), hex(pc), decode(m.read_word(pc & !3)))
 }
 
-fn push_tail(tail: &mut VecDeque<String>, line: String) {
-    if tail.len() == TAIL {
+fn push_tail(tail: &mut VecDeque<String>, cap: usize, line: String) {
+    if tail.len() == cap {
         tail.pop_front();
     }
     tail.push_back(line);
 }
 
-/// Compares registers, flags and ports (not memory); returns deltas.
-fn arch_deltas(spec: &State, jet: &Jet) -> Vec<RegDelta> {
+/// Every architectural field that differs, with both values.
+fn arch_deltas(spec: &Arch, imp: &Arch) -> Vec<RegDelta> {
     let mut deltas = Vec::new();
     let mut push = |field: &str, s: String, i: String| {
         deltas.push(RegDelta { field: field.to_string(), spec: s, impl_: i });
     };
-    if spec.pc != jet.pc {
-        push("pc", hex(spec.pc), hex(jet.pc));
+    if spec.pc != imp.pc {
+        push("pc", hex(spec.pc), hex(imp.pc));
     }
     for r in 0..ag32::NUM_REGS {
-        if spec.regs[r] != jet.regs[r] {
-            push(&format!("r{r}"), hex(spec.regs[r]), hex(jet.regs[r]));
+        if spec.regs[r] != imp.regs[r] {
+            push(&format!("r{r}"), hex(spec.regs[r]), hex(imp.regs[r]));
         }
     }
-    if spec.carry != jet.carry {
-        push("carry", spec.carry.to_string(), jet.carry.to_string());
+    if spec.carry != imp.carry {
+        push("carry", spec.carry.to_string(), imp.carry.to_string());
     }
-    if spec.overflow != jet.overflow {
-        push("overflow", spec.overflow.to_string(), jet.overflow.to_string());
+    if spec.overflow != imp.overflow {
+        push("overflow", spec.overflow.to_string(), imp.overflow.to_string());
     }
-    if spec.data_out != jet.data_out {
-        push("data_out", hex(spec.data_out), hex(jet.data_out));
+    if spec.data_out != imp.data_out {
+        push("data_out", hex(spec.data_out), hex(imp.data_out));
     }
-    if spec.io_events.len() != jet.io_events.len() {
-        push(
-            "io_events.len",
-            spec.io_events.len().to_string(),
-            jet.io_events.len().to_string(),
-        );
+    if spec.io_events != imp.io_events {
+        push("io_events.len", spec.io_events.to_string(), imp.io_events.to_string());
     }
     deltas
 }
 
 /// First differing memory byte between two reference memories, if any.
-fn first_mem_delta(spec: &ag32::Memory, jet: &ag32::Memory) -> Option<RegDelta> {
+fn first_mem_delta(spec: &ag32::Memory, imp: &ag32::Memory) -> Option<RegDelta> {
     let mut ids: Vec<u32> = spec.resident_page_ids();
-    for id in jet.resident_page_ids() {
+    for id in imp.resident_page_ids() {
         if !ids.contains(&id) {
             ids.push(id);
         }
@@ -97,12 +91,12 @@ fn first_mem_delta(spec: &ag32::Memory, jet: &ag32::Memory) -> Option<RegDelta> 
         let base = id << ag32::Memory::PAGE_SHIFT;
         for off in 0..page {
             let addr = base.wrapping_add(off);
-            let (s, j) = (spec.read_byte(addr), jet.read_byte(addr));
-            if s != j {
+            let (s, i) = (spec.read_byte(addr), imp.read_byte(addr));
+            if s != i {
                 return Some(RegDelta {
                     field: format!("mem[{:#010x}]", addr),
                     spec: format!("{s:#04x}"),
-                    impl_: format!("{j:#04x}"),
+                    impl_: format!("{i:#04x}"),
                 });
             }
         }
@@ -110,39 +104,46 @@ fn first_mem_delta(spec: &ag32::Memory, jet: &ag32::Memory) -> Option<RegDelta> 
     None
 }
 
-/// The reference interpreter and the jet engine stepped together — a
-/// [`Machine`] whose every retire is a theorem-J check.
+/// The reference interpreter and an implementation machine stepped
+/// together — a [`Machine`] whose every retire is a check of the
+/// relation between them (theorem J for [`Jet`], the default).
 ///
 /// The lockstep reports the reference side's state (PC, memory, I/O
-/// trace, stats, capture), which is correct by definition; the jet side
-/// only has to agree with it. On the first divergence it records the
-/// forensics and reports itself halted, so any run loop stops there;
-/// [`Lockstep::finish`] then hands the report back, or — for a run
-/// that reached its end cleanly — performs the end-of-run memory and
-/// I/O-trace comparison.
+/// trace, stats, capture), which is correct by definition; the
+/// implementation only has to agree with it. On the first divergence it
+/// records the forensics and reports itself halted, so any run loop
+/// stops there; [`Lockstep::finish`] then hands the report back, or —
+/// for a run that reached its end cleanly — performs the end-of-run
+/// memory and I/O-trace comparison. An implementation that stops
+/// retiring early (a halted or failed circuit) is a divergence too.
 ///
 /// Run boundaries are where a sliced run loop checkpoints: the end of
 /// every [`run`](Machine::run) call that retired its whole budget
 /// without halting or diverging, and the resume point of a lockstep
 /// built from a checkpoint. The last boundary past boot is the
 /// divergence's replay anchor: replaying from the reference state
-/// captured there reaches the divergence in `divergent_step − anchor`
-/// retires instead of `divergent_step` from boot.
-pub struct Lockstep {
+/// captured there reaches the divergence in `divergent_step + 1 −
+/// anchor` retires instead of `divergent_step + 1` from boot.
+pub struct Lockstep<B: Machine = Jet> {
     spec: State,
-    jet: Jet,
+    imp: B,
     sample: u64,
     /// Retire count the lockstep was built at.
     start: u64,
     full_compares: u64,
     anchor: Option<u64>,
+    /// The relation's name and the implementation side's, for reports.
+    kind: &'static str,
+    side: &'static str,
+    tail: usize,
     spec_tail: VecDeque<String>,
-    jet_tail: VecDeque<String>,
+    imp_tail: VecDeque<String>,
     divergence: Option<Box<Forensics>>,
 }
 
-impl Lockstep {
-    /// A lockstep over `state` (a boot image or a restored checkpoint).
+impl Lockstep<Jet> {
+    /// A theorem-J lockstep of the reference interpreter and [`Jet`]
+    /// over `state` (a boot image or a restored checkpoint).
     ///
     /// `sample` controls full architectural comparison frequency: `1`
     /// compares the whole register file after every retire (full
@@ -154,25 +155,53 @@ impl Lockstep {
     pub fn new(state: &State, sample: u64, alu_fault_xor: u32) -> Lockstep {
         let mut jet = Jet::from_state(state);
         jet.alu_fault_xor = alu_fault_xor;
+        Lockstep::over(state.clone(), jet, sample, "theorem J: jet \u{2261} Next", "jet")
+    }
+}
+
+impl<B: Machine> Lockstep<B> {
+    /// A lockstep of the reference interpreter, started from `spec`,
+    /// against `imp`, which must start in the same state. `sample` is
+    /// as for [`Lockstep::new`]; `kind` names the relation and `side`
+    /// the implementation in forensics reports.
+    #[must_use]
+    pub fn over(spec: State, imp: B, sample: u64, kind: &'static str, side: &'static str) -> Self {
+        let start = spec.instructions_retired;
         Lockstep {
-            spec: state.clone(),
-            jet,
+            spec,
+            imp,
             sample,
-            start: state.instructions_retired,
+            start,
             full_compares: 0,
-            anchor: (state.instructions_retired > 0).then_some(state.instructions_retired),
+            anchor: (start > 0).then_some(start),
+            kind,
+            side,
+            tail: TAIL,
             spec_tail: VecDeque::new(),
-            jet_tail: VecDeque::new(),
+            imp_tail: VecDeque::new(),
             divergence: None,
         }
     }
 
-    fn forensics(&self, deltas: Vec<RegDelta>, note: Option<String>) -> Box<Forensics> {
-        let mut fx = Forensics::new("theorem J: jet \u{2261} Next", "isa", "jet");
-        fx.divergent_step = Some(self.spec.instructions_retired);
+    /// Keeps the last `n` retires of each side for the forensics tails
+    /// (builder style; `0` keeps none).
+    #[must_use]
+    pub fn with_tail(mut self, n: usize) -> Self {
+        self.tail = n;
+        self
+    }
+
+    /// The implementation side.
+    pub fn imp(&self) -> &B {
+        &self.imp
+    }
+
+    fn forensics(&self, step: u64, deltas: Vec<RegDelta>, note: Option<String>) -> Box<Forensics> {
+        let mut fx = Forensics::new(self.kind, "isa", self.side);
+        fx.divergent_step = Some(step);
         fx.deltas = deltas;
         fx.spec_tail = self.spec_tail.iter().cloned().collect();
-        fx.impl_tail = self.jet_tail.iter().cloned().collect();
+        fx.impl_tail = self.imp_tail.iter().cloned().collect();
         fx.notes.extend(note);
         fx.replay_anchor = self.anchor;
         Box::new(fx)
@@ -180,36 +209,36 @@ impl Lockstep {
 
     /// One lockstep retire; `false` once a divergence is recorded.
     fn step(&mut self) -> bool {
-        let (spec, jet) = (&self.spec, &self.jet);
-        let spec_line = tail_line(spec.instructions_retired, spec.pc, &spec.current_instr());
-        let jet_line = tail_line(jet.instructions_retired, jet.pc, &jet.fetch_instr());
-        push_tail(&mut self.spec_tail, spec_line);
-        push_tail(&mut self.jet_tail, jet_line);
+        if self.tail > 0 {
+            push_tail(&mut self.spec_tail, self.tail, tail_line(&self.spec));
+            push_tail(&mut self.imp_tail, self.tail, tail_line(&self.imp));
+        }
         self.spec.next();
-        let note = if self.jet.run(1) == 0 {
-            Some(format!("jet halted at pc {} but isa retired", hex(self.jet.pc)))
-        } else if self.jet.pc == self.spec.pc {
+        let note = if self.imp.run(1) == 0 {
+            Some(format!("{} halted at pc {} but isa retired", self.side, hex(self.imp.pc())))
+        } else if self.imp.pc() == self.spec.pc {
             let retired = self.spec.instructions_retired - self.start;
             if self.sample == 0 || !retired.is_multiple_of(self.sample) {
                 return true;
             }
             self.full_compares += 1;
-            if arch_deltas(&self.spec, &self.jet).is_empty() {
+            if self.spec.arch() == self.imp.arch() {
                 return true;
             }
             None
         } else {
             None
         };
-        self.divergence = Some(self.forensics(arch_deltas(&self.spec, &self.jet), note));
+        let deltas = arch_deltas(&self.spec.arch(), &self.imp.arch());
+        self.divergence = Some(self.forensics(self.spec.instructions_retired - 1, deltas, note));
         false
     }
 
     /// The end-of-run verdict: the divergence the run stopped at, if
     /// any; otherwise the final comparison of the complete states —
     /// architectural state, memory and the I/O-event traces — after
-    /// checking that jet, too, retires nothing past the reference
-    /// halt.
+    /// checking that the implementation, too, retires nothing past the
+    /// reference halt.
     ///
     /// # Errors
     ///
@@ -218,39 +247,42 @@ impl Lockstep {
         if let Some(fx) = self.divergence.take() {
             return Err(fx);
         }
-        if self.spec.is_halted() && self.jet.run(1) != 0 {
-            let note =
-                format!("isa halted at pc {} but jet retired an instruction", hex(self.spec.pc));
-            return Err(self.forensics(arch_deltas(&self.spec, &self.jet), Some(note)));
+        let at = self.spec.instructions_retired;
+        if self.spec.is_halted() && self.imp.run(1) != 0 {
+            let note = format!(
+                "isa halted at pc {} but {} retired an instruction",
+                hex(self.spec.pc),
+                self.side
+            );
+            let deltas = arch_deltas(&self.spec.arch(), &self.imp.arch());
+            return Err(self.forensics(at, deltas, Some(note)));
         }
         self.full_compares += 1;
-        let jet_state = self.jet.to_state();
-        let mut deltas = arch_deltas(&self.spec, &self.jet);
-        if self.spec.io_events != jet_state.io_events {
+        let imp = self.imp.capture();
+        let mut deltas = arch_deltas(&self.spec.arch(), &imp.arch());
+        if self.spec.io_events != imp.io_events {
             deltas.push(RegDelta {
                 field: "io_events".to_string(),
                 spec: format!("{} events", self.spec.io_events.len()),
-                impl_: format!("{} events", jet_state.io_events.len()),
+                impl_: format!("{} events", imp.io_events.len()),
             });
         }
-        if self.spec.mem != jet_state.mem {
-            deltas.push(first_mem_delta(&self.spec.mem, &jet_state.mem).unwrap_or(RegDelta {
+        if self.spec.mem != imp.mem {
+            deltas.push(first_mem_delta(&self.spec.mem, &imp.mem).unwrap_or(RegDelta {
                 field: "mem".to_string(),
                 spec: "(differs)".to_string(),
                 impl_: "(differs)".to_string(),
             }));
         }
         if !deltas.is_empty() {
-            return Err(self.forensics(deltas, Some("final-state comparison".to_string())));
+            let note = Some("final-state comparison".to_string());
+            return Err(self.forensics(at.saturating_sub(1), deltas, note));
         }
-        Ok(ShadowReport {
-            retired: self.spec.instructions_retired - self.start,
-            full_compares: self.full_compares,
-        })
+        Ok(ShadowReport { retired: at - self.start, full_compares: self.full_compares })
     }
 }
 
-impl Machine for Lockstep {
+impl<B: Machine> Machine for Lockstep<B> {
     /// Captures are of the reference side.
     const ENGINE: Engine = Engine::Ref;
 
@@ -289,6 +321,10 @@ impl Machine for Lockstep {
 
     fn stats(&self) -> &ExecStats {
         &self.spec.stats
+    }
+
+    fn arch(&self) -> Arch {
+        self.spec.arch()
     }
 
     fn capture(&self) -> State {

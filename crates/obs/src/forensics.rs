@@ -1,8 +1,8 @@
 //! Divergence forensics: the report emitted when two semantic levels
 //! disagree.
 //!
-//! A bare `LockstepError::Mismatch { field, isa, rtl }` says *that* the
-//! ISA and the RTL diverged; a [`Forensics`] report says *where*
+//! A bare mismatch error says *that* two levels (say the ISA and the
+//! RTL) diverged; a [`Forensics`] report says *where*
 //! (retire index and clock cycle), *what* (every differing register /
 //! field with both values), and *how we got there* (the last-N retired
 //! instructions on both sides, rendered from
@@ -34,7 +34,8 @@ pub struct Forensics {
     pub kind: String,
     /// Names of the two sides, e.g. `("isa", "rtl")`.
     pub sides: (String, String),
-    /// Retire index at which the divergence was detected (spec side).
+    /// Zero-based index of the retire at which the divergence was
+    /// detected (spec side): `Some(0)` is the first instruction.
     pub divergent_step: Option<u64>,
     /// Clock cycle at which the divergence was detected (impl side).
     pub divergent_cycle: Option<u64>,

@@ -446,6 +446,13 @@ impl CycleObserver for NoCycleObserver {
     fn on_cycle(&mut self, _n: u64, _state: &RtlState) {}
 }
 
+/// Also a no-op at the Verilog level, so a run that may mirror the
+/// circuit into its generated Verilog needs only one no-op observer.
+impl verilog::eval::CycleObserver for NoCycleObserver {
+    #[inline(always)]
+    fn on_cycle(&mut self, _c: u64, _state: &verilog::eval::VarState) {}
+}
+
 impl<T: CycleObserver> CycleObserver for &mut T {
     #[inline]
     fn on_cycle(&mut self, n: u64, state: &RtlState) {

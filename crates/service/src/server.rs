@@ -743,7 +743,8 @@ fn handle_job(inner: &Arc<Inner>, ctl: &WorkerCtl, mut job: Pending) {
             let retired = match &end {
                 RunEnd::Done(f) => f.instructions,
                 RunEnd::Stopped(snap) => snap.retired(),
-                RunEnd::Diverged(fx) => fx.divergent_step.unwrap_or(0),
+                // Retires reached, the divergent one (a zero-based index) included.
+                RunEnd::Diverged(fx) => fx.divergent_step.map_or(0, |step| step + 1),
             };
             tb.end(exec, retired, inner.wall_us());
             match end {

@@ -117,7 +117,7 @@ pub fn run<H: Hooks>(start: State, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::
                 return RunEnd::Stopped(stop);
             }
             match hooks.shadow_check(|| ls.finish()) {
-                Ok(_) => RunEnd::Done(finished(&ls, plan)),
+                Ok(_) => RunEnd::Done(finished(&ls, plan.layout, plan.fuel)),
                 Err(fx) => RunEnd::Diverged(fx),
             }
         }
@@ -129,7 +129,7 @@ pub fn run<H: Hooks>(start: State, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::
 fn complete<M: Machine, H: Hooks>(mut m: M, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::Stop> {
     match drive(&mut m, plan, hooks) {
         ControlFlow::Break(stop) => RunEnd::Stopped(stop),
-        ControlFlow::Continue(()) => RunEnd::Done(finished(&m, plan)),
+        ControlFlow::Continue(()) => RunEnd::Done(finished(&m, plan.layout, plan.fuel)),
     }
 }
 
@@ -152,10 +152,13 @@ fn drive<M: Machine, H: Hooks>(m: &mut M, plan: &Plan<'_>, hooks: &mut H) -> Con
     }
 }
 
-fn finished<M: Machine>(m: &M, plan: &Plan<'_>) -> Finished {
+/// The end of a run of `m` under a retire budget of `fuel` from boot:
+/// the exit classification and output streams every machine shares —
+/// ISA engines here, and the circuit backends of the stack.
+pub fn finished<M: Machine>(m: &M, layout: &TargetLayout, fuel: u64) -> Finished {
     let (stdout, stderr) = extract_streams(m.io_events());
     Finished {
-        exit: classify_exit(m, plan.layout, m.retired() < plan.fuel),
+        exit: classify_exit(m, layout, m.retired() < fuel),
         stdout,
         stderr,
         instructions: m.retired(),

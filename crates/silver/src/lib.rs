@@ -12,10 +12,14 @@
 //! * [`env`] — the lab environment (`is_lab_env`): external memory with
 //!   configurable latency, the memory-start interface and the interrupt
 //!   handler, standing in for the PYNQ board's DRAM and ARM core;
+//! * [`machine`] — the CPU circuit (optionally mirrored by its
+//!   generated Verilog) as an [`ag32::Machine`] at retire granularity:
+//!   the one place the circuit is clocked, behind the RTL and Verilog
+//!   backends and theorem (9)'s lockstep;
 //! * [`lockstep`] — the ISA↔implementation simulation relation of
-//!   theorem (9), run as a differential test;
+//!   theorem (9), run as a differential test on every retire;
 //! * [`verilog_level`] — the implementation↔Verilog correspondence of
-//!   theorem (10) and whole-program Verilog-level runs (theorem (7)).
+//!   theorem (10).
 //!
 //! One layer down, it also hosts what every ISA engine shares:
 //! [`snapshot`] — byte-stable run checkpoints — and [`exec`], the one
@@ -41,7 +45,7 @@
 //! s.mem.write_bytes(0, &a.assemble()?);
 //!
 //! let cfg = MemEnvConfig { mem_latency: Latency::Random { max: 3 }, ..Default::default() };
-//! let report = run_lockstep(&s, 100, cfg, 10_000)?;
+//! let report = run_lockstep(&s, 100, cfg, 10_000).map_err(|fx| fx.render())?;
 //! assert_eq!(report.instructions, 3);
 //! assert!(report.cycles > report.instructions, "wait states cost cycles");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -51,21 +55,15 @@ pub mod cpu;
 pub mod env;
 pub mod exec;
 pub mod lockstep;
+pub mod machine;
 pub mod snapshot;
 pub mod trace;
 pub mod verilog_level;
 
 pub use cpu::silver_cpu;
-pub use snapshot::{Snapshot, SnapshotError};
 pub use env::{Latency, MemEnv, MemEnvConfig};
-pub use lockstep::{
-    run_lockstep, run_lockstep_in, run_rtl_program, run_rtl_program_observed, LockstepError,
-    LockstepReport,
-};
-pub use trace::{
-    check_cpu_verilog_equiv_forensic, run_lockstep_forensic, ForensicConfig, PcSampler, RtlVcd,
-    VcdWindow, VerilogVcd,
-};
-pub use verilog_level::{
-    check_cpu_verilog_equiv, run_verilog_program, run_verilog_program_observed,
-};
+pub use lockstep::{check_lockstep, run_lockstep, LockstepError, LockstepReport};
+pub use machine::CircuitMachine;
+pub use snapshot::{Snapshot, SnapshotError};
+pub use trace::{check_cpu_verilog_equiv_forensic, ForensicConfig, PcSampler, Vcd, VcdWindow};
+pub use verilog_level::check_cpu_verilog_equiv;

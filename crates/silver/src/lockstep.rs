@@ -4,20 +4,23 @@
 //! > for any *n* instruction cycles the ISA can take, these steps can be
 //! > simulated by running the implementation *m* clock cycles.
 //!
-//! [`run_lockstep`] runs the ISA `n` instructions, runs the circuit until
-//! its retired-instruction counter reaches `n`, and then checks the
-//! state-equality relation (`ag32_eq_hol_isa`): PC, all 64 registers,
-//! both flags, the output port, the full memory, and the I/O-event
-//! traces.
+//! [`check_lockstep`] runs the ISA and the [`CircuitMachine`] as one
+//! [`jet::Lockstep`], a retire at a time, and checks the state-equality
+//! relation (`ag32_eq_hol_isa`) for every *n*: PC, all 64 registers,
+//! both flags, the output port and the I/O-event count after every
+//! retire, and the full memory and I/O-event traces at the end.
 
 use std::fmt;
 
-use ag32::State;
-use rtl::interp::{self, RValue, RtlState};
+use ag32::{Machine, State};
+use jet::Lockstep;
+use obs::Forensics;
 use rtl::{Circuit, RtlError};
 
-use crate::cpu::{fsm, silver_cpu};
-use crate::env::{MemEnv, MemEnvConfig};
+use crate::cpu::silver_cpu;
+use crate::env::MemEnvConfig;
+use crate::machine::CircuitMachine;
+use crate::trace::{ForensicConfig, VcdWindow};
 
 /// Successful lockstep outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,27 +31,28 @@ pub struct LockstepReport {
     pub cycles: u64,
 }
 
-/// Lockstep failure.
+/// A circuit-level run failure, latched by [`CircuitMachine`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LockstepError {
     /// The circuit simulator failed (never happens on the checked CPU).
     Rtl(RtlError),
     /// The implementation did not retire enough instructions in time.
     Timeout {
-        /// Instructions the ISA retired.
+        /// The retire count the run was heading for.
         wanted: u64,
         /// Instructions the implementation managed.
         retired: u64,
         /// The cycle budget that was exhausted.
         max_cycles: u64,
     },
-    /// A state component differs after retirement.
+    /// The generated-Verilog mirror disagreed with the circuit.
     Mismatch {
-        /// Which component (e.g. `pc`, `r17`, `mem`, `io_events`).
+        /// Which signal (e.g. `pc`, `retired`), or `verilog` for a
+        /// Verilog simulator error.
         field: String,
-        /// ISA-side value.
+        /// Circuit-side value.
         isa: String,
-        /// Implementation-side value.
+        /// Verilog-side value.
         rtl: String,
     },
 }
@@ -76,230 +80,62 @@ impl From<RtlError> for LockstepError {
     }
 }
 
-/// Initialises the circuit state from an ISA state — the
-/// `ag32_eq_init_hol_isa` relation: ISA-visible components equal,
-/// implementation registers in their start-up values.
-#[must_use]
-pub fn init_rtl_from_isa(circuit: &Circuit, isa: &State) -> RtlState {
-    let mut st = RtlState::zeroed(circuit);
-    st.set("pc", RValue::Word(32, u64::from(isa.pc))).expect("pc");
-    st.set(
-        "regs",
-        RValue::Mem { elem: 32, data: isa.regs.iter().map(|&r| u64::from(r)).collect() },
-    )
-    .expect("regs");
-    st.set("carry", RValue::Bit(isa.carry)).expect("carry");
-    st.set("overflow", RValue::Bit(isa.overflow)).expect("overflow");
-    st.set("data_out", RValue::Word(32, u64::from(isa.data_out))).expect("data_out");
-    st
-}
-
-/// Builds the lab environment for an ISA state's memory and I/O config.
-#[must_use]
-pub fn env_from_isa(isa: &State, cfg: MemEnvConfig) -> MemEnv {
-    let mut env = MemEnv::new(isa.mem.clone(), cfg);
-    env.io_window = isa.io_window;
-    env.data_in = isa.data_in;
-    env.io_events = isa.io_events.clone();
-    env
-}
-
-/// Checks the `ag32_eq_hol_isa` relation between an ISA state and the
-/// circuit + environment pair.
+/// Theorem (9) over the Silver CPU: [`check_lockstep`] with the real
+/// circuit and the default forensics.
 ///
 /// # Errors
 ///
-/// The first differing component, as a [`LockstepError::Mismatch`].
-pub fn check_eq_isa_rtl(
-    isa: &State,
-    rtl: &RtlState,
-    env: &MemEnv,
-) -> Result<(), LockstepError> {
-    let scalar = |name: &str| -> Result<u64, LockstepError> {
-        rtl.get_scalar(name).map_err(LockstepError::Rtl)
-    };
-    let mismatch = |field: &str, a: String, b: String| LockstepError::Mismatch {
-        field: field.to_string(),
-        isa: a,
-        rtl: b,
-    };
-    if scalar("pc")? != u64::from(isa.pc) {
-        return Err(mismatch("pc", format!("{:#x}", isa.pc), format!("{:#x}", scalar("pc")?)));
-    }
-    match rtl.get("regs").map_err(LockstepError::Rtl)? {
-        RValue::Mem { data, .. } => {
-            for (i, (&rv, &iv)) in data.iter().zip(isa.regs.iter()).enumerate() {
-                if rv != u64::from(iv) {
-                    return Err(mismatch(&format!("r{i}"), format!("{iv:#x}"), format!("{rv:#x}")));
-                }
-            }
-        }
-        other => {
-            return Err(mismatch("regs", "register file".into(), other.to_string()));
-        }
-    }
-    for (name, isa_v) in [("carry", isa.carry), ("overflow", isa.overflow)] {
-        if scalar(name)? != u64::from(isa_v) {
-            return Err(mismatch(name, isa_v.to_string(), scalar(name)?.to_string()));
-        }
-    }
-    if scalar("data_out")? != u64::from(isa.data_out) {
-        return Err(mismatch(
-            "data_out",
-            format!("{:#x}", isa.data_out),
-            format!("{:#x}", scalar("data_out")?),
-        ));
-    }
-    if env.mem != isa.mem {
-        return Err(mismatch("mem", format!("{:?}", isa.mem), format!("{:?}", env.mem)));
-    }
-    if env.io_events != isa.io_events {
-        return Err(mismatch(
-            "io_events",
-            format!("{} events", isa.io_events.len()),
-            format!("{} events", env.io_events.len()),
-        ));
-    }
-    Ok(())
-}
-
-/// Runs the ISA for up to `max_instructions` and the implementation until
-/// it has retired the same count, then checks state equality.
-///
-/// The ISA-side accelerator is forced to the identity function, matching
-/// the board implementation.
-///
-/// # Errors
-///
-/// Simulator failure, cycle-budget exhaustion, or state divergence.
+/// The first divergence, timeout or simulator failure, as a forensics
+/// report.
 pub fn run_lockstep(
     initial: &State,
     max_instructions: u64,
     cfg: MemEnvConfig,
     max_cycles: u64,
-) -> Result<LockstepReport, LockstepError> {
-    run_lockstep_in(&silver_cpu(), initial, max_instructions, cfg, max_cycles)
+) -> Result<LockstepReport, Box<Forensics>> {
+    let fcfg = ForensicConfig::default();
+    check_lockstep(silver_cpu(), initial, max_instructions, cfg, max_cycles, &fcfg)
 }
 
-/// [`run_lockstep`] against an explicit circuit — the hook fault-
-/// injection tests use to check that a sabotaged CPU *fails* lockstep
-/// (and that the forensics in [`crate::trace`] localise the fault).
+/// Runs the ISA and `circuit` in lockstep for up to `max_instructions`
+/// retires within `max_cycles` clock cycles, comparing the
+/// architectural state after every retire (`sample = 1`) and memory and
+/// the I/O trace at the end. The ISA-side accelerator is forced to the
+/// identity function, matching the board implementation.
+///
+/// On divergence the report names the divergent retire index and clock
+/// cycle, every differing field, the last `fcfg.tail` retires on both
+/// sides and a VCD window of the last `fcfg.vcd_window` cycles; a
+/// timeout or simulator failure is a note on it.
 ///
 /// # Errors
 ///
-/// Simulator failure, cycle-budget exhaustion, or state divergence.
-pub fn run_lockstep_in(
-    circuit: &Circuit,
+/// A boxed [`Forensics`] report for any divergence, timeout or
+/// simulator error.
+pub fn check_lockstep(
+    circuit: Circuit,
     initial: &State,
     max_instructions: u64,
     cfg: MemEnvConfig,
     max_cycles: u64,
-) -> Result<LockstepReport, LockstepError> {
-    let mut isa = initial.clone();
-    isa.accel = |x| x;
-    let instructions = isa.run(max_instructions);
-
-    let mut env = env_from_isa(initial, cfg);
-    let mut rtl_state = init_rtl_from_isa(circuit, initial);
-    let mut cycles = 0u64;
-    while rtl_state.get_scalar("retired")? < instructions {
-        if cycles >= max_cycles {
-            return Err(LockstepError::Timeout {
-                wanted: instructions,
-                retired: rtl_state.get_scalar("retired")?,
-                max_cycles,
-            });
-        }
-        interp::step(circuit, &mut env, &mut rtl_state, cycles)?;
-        cycles += 1;
-    }
-    check_eq_isa_rtl(&isa, &rtl_state, &env)?;
-    Ok(LockstepReport { instructions, cycles })
-}
-
-/// Whether the implementation has reached a halted configuration: either
-/// wedged on a `Reserved` instruction, or sitting in the self-jump idiom
-/// (decoded against the environment's memory and the register file).
-///
-/// # Errors
-///
-/// Propagates circuit-state read failures.
-pub fn rtl_is_halted(rtl: &RtlState, env: &MemEnv) -> Result<bool, LockstepError> {
-    if rtl.get_scalar("state")? == fsm::WEDGED {
-        return Ok(true);
-    }
-    let pc = rtl.get_scalar("pc")? as u32;
-    let instr = ag32::decode(env.mem.read_word(pc & !3));
-    let regs = match rtl.get("regs").map_err(LockstepError::Rtl)? {
-        RValue::Mem { data, .. } => data.clone(),
-        _ => return Ok(false),
-    };
-    let ri = |r: ag32::Ri| -> u32 {
-        match r {
-            ag32::Ri::Reg(reg) => regs[reg.index()] as u32,
-            ag32::Ri::Imm(v) => v as i32 as u32,
-        }
-    };
-    Ok(match instr {
-        ag32::Instr::Jump { func: ag32::Func::Snd, a, .. } => ri(a) == pc,
-        ag32::Instr::Jump { func: ag32::Func::Add, a, .. } => ri(a) == 0,
-        ag32::Instr::Reserved => true,
-        _ => false,
-    })
-}
-
-/// Runs a program entirely at the implementation level until it halts,
-/// returning the final circuit state, the environment (whose memory and
-/// I/O events are the program's outputs) and the cycle count.
-///
-/// # Errors
-///
-/// Simulator failure or cycle-budget exhaustion.
-pub fn run_rtl_program(
-    initial: &State,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-) -> Result<(RtlState, MemEnv, u64), LockstepError> {
-    run_rtl_program_observed(initial, cfg, max_cycles, &mut interp::NoCycleObserver)
-}
-
-/// [`run_rtl_program`] with a [`CycleObserver`](interp::CycleObserver)
-/// seeing every post-edge state — the hook `silverc --vcd`/`--profile`
-/// use on the RTL backend.
-///
-/// # Errors
-///
-/// Simulator failure or cycle-budget exhaustion.
-pub fn run_rtl_program_observed(
-    initial: &State,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-    obs: &mut impl interp::CycleObserver,
-) -> Result<(RtlState, MemEnv, u64), LockstepError> {
-    let circuit = silver_cpu();
-    let mut env = env_from_isa(initial, cfg);
-    let mut rtl_state = init_rtl_from_isa(&circuit, initial);
-    let mut cycles = 0u64;
-    let mut last_retired = 0;
-    loop {
-        if cycles >= max_cycles {
-            return Err(LockstepError::Timeout {
-                wanted: u64::MAX,
-                retired: rtl_state.get_scalar("retired")?,
-                max_cycles,
-            });
-        }
-        interp::step_observed(&circuit, &mut env, &mut rtl_state, cycles, obs)?;
-        cycles += 1;
-        let retired = rtl_state.get_scalar("retired")?;
-        if retired != last_retired {
-            last_retired = retired;
-            if rtl_is_halted(&rtl_state, &env)? {
-                return Ok((rtl_state, env, cycles));
-            }
-        }
-        if rtl_state.get_scalar("state")? == fsm::WEDGED {
-            return Ok((rtl_state, env, cycles));
+    fcfg: &ForensicConfig,
+) -> Result<LockstepReport, Box<Forensics>> {
+    let mut spec = initial.clone();
+    spec.accel = |x| x;
+    let window = VcdWindow::new(&circuit, fcfg.vcd_window);
+    let imp = CircuitMachine::with_circuit(circuit, initial, cfg, max_cycles, window);
+    let mut ls =
+        Lockstep::over(spec, imp, 1, "t9 ISA\u{2194}RTL lockstep", "rtl").with_tail(fcfg.tail);
+    ls.run(max_instructions);
+    let verdict = ls.finish();
+    let imp = ls.imp();
+    match verdict {
+        Ok(report) => Ok(LockstepReport { instructions: report.retired, cycles: imp.cycles() }),
+        Err(mut fx) => {
+            fx.divergent_cycle = Some(imp.cycles());
+            fx.vcd_window = imp.observer().render("silver_cpu");
+            fx.notes.extend(imp.error().map(ToString::to_string));
+            Err(fx)
         }
     }
 }

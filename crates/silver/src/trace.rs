@@ -1,21 +1,21 @@
 //! Cross-layer observability for the Silver CPU: waveform dumping,
 //! cycle sampling and divergence forensics.
 //!
-//! Three layers of machinery, all strictly opt-in (the plain runners in
-//! [`crate::lockstep`]/[`crate::verilog_level`] never touch this
-//! module):
+//! All of it is opt-in: a [`CircuitMachine`](crate::CircuitMachine)
+//! runs with the no-op observer unless one is attached.
 //!
-//! * **VCD dumping** — [`RtlVcd`]/[`VerilogVcd`] are cycle observers
-//!   that stream every scalar signal of a circuit into an
-//!   [`obs::VcdWriter`]; [`VcdWindow`] is the bounded in-memory variant
-//!   that retains the last *N* cycles for forensic windows.
-//! * **Forensic runners** — [`run_lockstep_forensic`] re-runs theorem
-//!   (9)'s ISA↔RTL lockstep with per-retire state comparison and
-//!   returns, on divergence, an [`obs::Forensics`] report naming the
-//!   divergent retire index and clock cycle, every differing register,
-//!   the last-N retired instructions on both sides and a VCD window
-//!   around the divergence. [`check_cpu_verilog_equiv_forensic`] does
-//!   the same for theorem (10)'s RTL↔Verilog equivalence.
+//! * **VCD dumping** — [`Vcd`] is a cycle observer that streams every
+//!   scalar signal of a circuit into an [`obs::VcdWriter`], from the
+//!   circuit state or from the Verilog state; [`VcdWindow`] is the
+//!   bounded in-memory variant that retains the last *N* cycles for
+//!   forensic windows.
+//! * **Forensics** — theorem (9)'s lockstep
+//!   ([`check_lockstep`](crate::lockstep::check_lockstep)) reports, on
+//!   divergence, an [`obs::Forensics`] naming the divergent retire index
+//!   and clock cycle, every differing register, the last-N retired
+//!   instructions on both sides and a VCD window around the divergence.
+//!   [`check_cpu_verilog_equiv_forensic`] does the same for theorem
+//!   (10)'s RTL↔Verilog equivalence.
 //! * **Cycle sampling** — [`PcSampler`] feeds the `pc` signal of every
 //!   clock cycle to an [`obs::CycleProfiler`], turning RTL/Verilog runs
 //!   into true cycle-attribution profiles (memory wait states included).
@@ -23,16 +23,15 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
-use ag32::trace::RetireRing;
-use ag32::{NoCoverage, State, StepOutcome};
+use ag32::State;
 use obs::{CycleProfiler, Forensics, RegDelta, VcdWriter};
 use rtl::ast::{Circuit, RTy};
-use rtl::interp::{self, RtlState, RValue};
+use rtl::interp::{self, RtlEnv as _, RtlState};
 use verilog::eval::VarState;
 
 use crate::cpu::silver_cpu;
 use crate::env::MemEnvConfig;
-use crate::lockstep::{check_eq_isa_rtl, env_from_isa, init_rtl_from_isa, LockstepReport};
+use crate::machine::env_from_isa;
 
 /// The scalar (bit/word, non-memory) signals of a circuit, inputs first
 /// then registers, in declaration order — the signal set dumped to VCD.
@@ -49,27 +48,59 @@ pub fn scalar_signals(c: &Circuit) -> Vec<(String, u32)> {
         .collect()
 }
 
-fn rtl_values(signals: &[(String, u32)], st: &RtlState) -> Vec<u64> {
-    signals.iter().map(|(name, _)| st.get_scalar(name).unwrap_or(0)).collect()
+/// A circuit state or its Verilog counterpart, read signal by signal.
+trait Signals {
+    /// The scalar signal `name` (`0` when absent).
+    fn scalar(&self, name: &str) -> u64;
+
+    fn values(&self, signals: &[(String, u32)]) -> Vec<u64> {
+        signals.iter().map(|(name, _)| self.scalar(name)).collect()
+    }
 }
 
-fn verilog_values(signals: &[(String, u32)], st: &VarState) -> Vec<u64> {
-    signals.iter().map(|(name, _)| st.get(name).map(verilog::Value::as_u64).unwrap_or(0)).collect()
+impl Signals for RtlState {
+    fn scalar(&self, name: &str) -> u64 {
+        self.get_scalar(name).unwrap_or(0)
+    }
 }
 
-/// A [`CycleObserver`](interp::CycleObserver) streaming every scalar
-/// signal of a circuit to a [`VcdWriter`].
+impl Signals for VarState {
+    fn scalar(&self, name: &str) -> u64 {
+        self.get(name).map(verilog::Value::as_u64).unwrap_or(0)
+    }
+}
+
+/// Implements both levels' `CycleObserver` for types with an
+/// `observe(&mut self, n, &impl Signals)` method.
+macro_rules! observes_both_levels {
+    ($([$($gen:tt)*] $ty:ty),* $(,)?) => {$(
+        impl<$($gen)*> interp::CycleObserver for $ty {
+            fn on_cycle(&mut self, n: u64, state: &RtlState) {
+                self.observe(n, state);
+            }
+        }
+
+        impl<$($gen)*> verilog::eval::CycleObserver for $ty {
+            fn on_cycle(&mut self, n: u64, state: &VarState) {
+                self.observe(n, state);
+            }
+        }
+    )*};
+}
+
+/// A cycle observer streaming every scalar signal of a circuit to a
+/// [`VcdWriter`], at the circuit level or the Verilog level.
 ///
 /// I/O errors are latched (the simulation is not interrupted) and
-/// surfaced by [`RtlVcd::finish`].
+/// surfaced by [`Vcd::finish`].
 #[derive(Debug)]
-pub struct RtlVcd<W: Write> {
+pub struct Vcd<W: Write> {
     signals: Vec<(String, u32)>,
     vcd: VcdWriter<W>,
     err: Option<io::Error>,
 }
 
-impl<W: Write> RtlVcd<W> {
+impl<W: Write> Vcd<W> {
     /// Declares `circuit`'s scalar signals and writes the VCD header.
     ///
     /// # Errors
@@ -82,7 +113,7 @@ impl<W: Write> RtlVcd<W> {
             vcd.add_signal(name, *width);
         }
         vcd.begin(scope)?;
-        Ok(RtlVcd { signals, vcd, err: None })
+        Ok(Vcd { signals, vcd, err: None })
     }
 
     /// Flushes; returns the first latched I/O error, if any.
@@ -96,66 +127,12 @@ impl<W: Write> RtlVcd<W> {
         }
         self.vcd.finish()
     }
-}
 
-impl<W: Write> interp::CycleObserver for RtlVcd<W> {
-    fn on_cycle(&mut self, n: u64, state: &RtlState) {
+    fn observe(&mut self, n: u64, state: &impl Signals) {
         if self.err.is_some() {
             return;
         }
-        let values = rtl_values(&self.signals, state);
-        if let Err(e) = self.vcd.sample(n, &values) {
-            self.err = Some(e);
-        }
-    }
-}
-
-/// The Verilog-level sibling of [`RtlVcd`]: a
-/// [`CycleObserver`](verilog::eval::CycleObserver) sampling the same
-/// signal set out of the Verilog variable state.
-#[derive(Debug)]
-pub struct VerilogVcd<W: Write> {
-    signals: Vec<(String, u32)>,
-    vcd: VcdWriter<W>,
-    err: Option<io::Error>,
-}
-
-impl<W: Write> VerilogVcd<W> {
-    /// Declares `circuit`'s scalar signals and writes the VCD header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the header.
-    pub fn new(sink: W, circuit: &Circuit, scope: &str) -> io::Result<Self> {
-        let signals = scalar_signals(circuit);
-        let mut vcd = VcdWriter::new(sink);
-        for (name, width) in &signals {
-            vcd.add_signal(name, *width);
-        }
-        vcd.begin(scope)?;
-        Ok(VerilogVcd { signals, vcd, err: None })
-    }
-
-    /// Flushes; returns the first latched I/O error, if any.
-    ///
-    /// # Errors
-    ///
-    /// The first error encountered while sampling or flushing.
-    pub fn finish(self) -> io::Result<W> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
-        self.vcd.finish()
-    }
-}
-
-impl<W: Write> verilog::eval::CycleObserver for VerilogVcd<W> {
-    fn on_cycle(&mut self, c: u64, state: &VarState) {
-        if self.err.is_some() {
-            return;
-        }
-        let values = verilog_values(&self.signals, state);
-        if let Err(e) = self.vcd.sample(c, &values) {
+        if let Err(e) = self.vcd.sample(n, &state.values(&self.signals)) {
             self.err = Some(e);
         }
     }
@@ -179,17 +156,6 @@ impl VcdWindow {
         VcdWindow { signals: scalar_signals(circuit), capacity, samples: VecDeque::new() }
     }
 
-    /// Records one cycle's values (evicting the oldest beyond capacity).
-    pub fn record(&mut self, cycle: u64, values: Vec<u64>) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.samples.len() == self.capacity {
-            self.samples.pop_front();
-        }
-        self.samples.push_back((cycle, values));
-    }
-
     /// Renders the retained cycles as a complete standalone VCD text.
     #[must_use]
     pub fn render(&self, scope: &str) -> String {
@@ -210,12 +176,20 @@ impl VcdWindow {
         }
         vcd.finish().map(|bytes| String::from_utf8_lossy(&bytes).into_owned()).unwrap_or_default()
     }
-}
 
-impl interp::CycleObserver for VcdWindow {
-    fn on_cycle(&mut self, n: u64, state: &RtlState) {
-        let values = rtl_values(&self.signals.clone(), state);
-        self.record(n, values);
+    /// Records one cycle's values, evicting the oldest beyond capacity
+    /// (and reusing its buffer).
+    fn observe(&mut self, n: u64, state: &impl Signals) {
+        if self.capacity == 0 {
+            return;
+        }
+        let mut values = match self.samples.len() == self.capacity {
+            true => self.samples.pop_front().map(|(_, v)| v).unwrap_or_default(),
+            false => Vec::with_capacity(self.signals.len()),
+        };
+        values.clear();
+        values.extend(self.signals.iter().map(|(name, _)| state.scalar(name)));
+        self.samples.push_back((n, values));
     }
 }
 
@@ -234,20 +208,13 @@ impl PcSampler {
     pub fn new(profiler: CycleProfiler) -> Self {
         PcSampler { profiler }
     }
-}
 
-impl interp::CycleObserver for PcSampler {
-    fn on_cycle(&mut self, _n: u64, state: &RtlState) {
-        self.profiler.record_pc(state.get_scalar("pc").unwrap_or(0) as u32);
+    fn observe(&mut self, _n: u64, state: &impl Signals) {
+        self.profiler.record_pc(state.scalar("pc") as u32);
     }
 }
 
-impl verilog::eval::CycleObserver for PcSampler {
-    fn on_cycle(&mut self, _c: u64, state: &VarState) {
-        let pc = state.get("pc").map(verilog::Value::as_u64).unwrap_or(0);
-        self.profiler.record_pc(pc as u32);
-    }
-}
+observes_both_levels!([W: Write] Vcd<W>, [] VcdWindow, [] PcSampler);
 
 /// How much context a forensic run retains.
 #[derive(Clone, Copy, Debug)]
@@ -264,69 +231,6 @@ impl Default for ForensicConfig {
     }
 }
 
-fn regs_of(rtl: &RtlState) -> Vec<u64> {
-    match rtl.get("regs") {
-        Ok(RValue::Mem { data, .. }) => data.clone(),
-        _ => Vec::new(),
-    }
-}
-
-/// Every architectural field that differs between the ISA state and the
-/// circuit + environment pair, with both values.
-#[must_use]
-pub fn collect_deltas(isa: &State, rtl: &RtlState, env: &crate::env::MemEnv) -> Vec<RegDelta> {
-    let mut deltas = Vec::new();
-    let scalar = |name: &str| rtl.get_scalar(name).unwrap_or(0);
-    if scalar("pc") != u64::from(isa.pc) {
-        deltas.push(RegDelta {
-            field: "pc".into(),
-            spec: format!("{:#010x}", isa.pc),
-            impl_: format!("{:#010x}", scalar("pc")),
-        });
-    }
-    for (i, rv) in regs_of(rtl).iter().enumerate() {
-        let iv = u64::from(isa.regs[i]);
-        if *rv != iv {
-            deltas.push(RegDelta {
-                field: format!("r{i}"),
-                spec: format!("{iv:#010x}"),
-                impl_: format!("{rv:#010x}"),
-            });
-        }
-    }
-    for (name, isa_v) in [("carry", isa.carry), ("overflow", isa.overflow)] {
-        if scalar(name) != u64::from(isa_v) {
-            deltas.push(RegDelta {
-                field: name.into(),
-                spec: isa_v.to_string(),
-                impl_: scalar(name).to_string(),
-            });
-        }
-    }
-    if scalar("data_out") != u64::from(isa.data_out) {
-        deltas.push(RegDelta {
-            field: "data_out".into(),
-            spec: format!("{:#010x}", isa.data_out),
-            impl_: format!("{:#010x}", scalar("data_out")),
-        });
-    }
-    if env.mem != isa.mem {
-        deltas.push(RegDelta {
-            field: "mem".into(),
-            spec: "<image>".into(),
-            impl_: "<differs>".into(),
-        });
-    }
-    if env.io_events != isa.io_events {
-        deltas.push(RegDelta {
-            field: "io_events".into(),
-            spec: format!("{} events", isa.io_events.len()),
-            impl_: format!("{} events", env.io_events.len()),
-        });
-    }
-    deltas
-}
-
 fn push_capped(tail: &mut VecDeque<String>, cap: usize, line: String) {
     if cap == 0 {
         return;
@@ -337,147 +241,25 @@ fn push_capped(tail: &mut VecDeque<String>, cap: usize, line: String) {
     tail.push_back(line);
 }
 
-/// Describes one RTL retire for the impl-side tail: retire index, cycle,
-/// PC edge and register-file changes since the previous retire.
-fn describe_rtl_retire(
-    idx: u64,
-    cycle: u64,
-    prev_pc: u64,
-    prev_regs: &[u64],
-    rtl: &RtlState,
-) -> (String, u64, Vec<u64>) {
-    let pc_now = rtl.get_scalar("pc").unwrap_or(0);
-    let regs_now = regs_of(rtl);
-    let mut line = format!("#{idx:<6} cyc {cycle:<6} pc {prev_pc:#010x} -> {pc_now:#010x}");
-    for (i, (&old, &new)) in prev_regs.iter().zip(regs_now.iter()).enumerate() {
-        if old != new {
-            line.push_str(&format!(" r{i}={new:#010x}"));
-        }
-    }
-    (line, pc_now, regs_now)
+/// What a t10 forensic run keeps while the equivalence check runs: the
+/// circuit-side waveform and both sides' recent `pc`/`state`/`retired`.
+struct EquivTrail {
+    window: VcdWindow,
+    cap: usize,
+    rtl: VecDeque<String>,
+    verilog: VecDeque<String>,
 }
 
-/// [`run_lockstep_in`](crate::lockstep::run_lockstep_in) with per-retire
-/// state comparison and full forensics on divergence.
-///
-/// The ISA and the implementation advance one retired instruction at a
-/// time; after every retire the `ag32_eq_hol_isa` relation is checked,
-/// so a divergence is caught at the *first* retire it manifests, with:
-///
-/// * the divergent retire index and clock cycle,
-/// * every differing architectural field (registers, flags, pc, ports,
-///   memory, I/O events),
-/// * the last-N retired instructions on both sides,
-/// * a VCD waveform window covering the cycles leading into the
-///   divergence.
-///
-/// # Errors
-///
-/// A boxed [`Forensics`] report for any divergence, timeout or
-/// simulator error.
-pub fn run_lockstep_forensic(
-    circuit: &Circuit,
-    initial: &State,
-    max_instructions: u64,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-    fcfg: &ForensicConfig,
-) -> Result<LockstepReport, Box<Forensics>> {
-    let mut isa = initial.clone();
-    isa.accel = |x| x;
-    let mut ring = RetireRing::new(fcfg.tail);
-    let mut env = env_from_isa(initial, cfg);
-    let mut rtl = init_rtl_from_isa(circuit, initial);
-    let mut window = VcdWindow::new(circuit, fcfg.vcd_window);
-    let mut impl_tail: VecDeque<String> = VecDeque::new();
-    let mut prev_pc = rtl.get_scalar("pc").unwrap_or(0);
-    let mut prev_regs = regs_of(&rtl);
-    let mut cycles = 0u64;
-    let mut instructions = 0u64;
-
-    let base = |kind_note: Option<String>,
-                ring: &RetireRing,
-                impl_tail: &VecDeque<String>,
-                window: &VcdWindow,
-                step: Option<u64>,
-                cycle: Option<u64>| {
-        let mut fx = Forensics::new("t9 ISA↔RTL lockstep", "isa", "rtl");
-        fx.divergent_step = step;
-        fx.divergent_cycle = cycle;
-        fx.spec_tail = ring.render();
-        fx.impl_tail = impl_tail.iter().cloned().collect();
-        fx.vcd_window = window.render("silver_cpu");
-        if let Some(n) = kind_note {
-            fx.notes.push(n);
-        }
-        fx
-    };
-
-    while instructions < max_instructions {
-        if isa.is_halted() {
-            break;
-        }
-        match isa.next_traced(&mut NoCoverage, &mut ring) {
-            StepOutcome::Retired(_) => instructions += 1,
-            StepOutcome::Wedged => break,
-        }
-        // Advance the implementation until it has retired as many.
-        loop {
-            let retired = rtl.get_scalar("retired").map_err(|e| {
-                Box::new(base(
-                    Some(format!("circuit error: {e}")),
-                    &ring,
-                    &impl_tail,
-                    &window,
-                    Some(instructions - 1),
-                    Some(cycles),
-                ))
-            })?;
-            if retired >= instructions {
-                break;
-            }
-            if cycles >= max_cycles {
-                let mut fx = base(
-                    Some(format!(
-                        "timeout: implementation retired {retired}/{instructions} \
-                         instructions within {max_cycles} cycles"
-                    )),
-                    &ring,
-                    &impl_tail,
-                    &window,
-                    Some(instructions - 1),
-                    Some(cycles),
-                );
-                fx.deltas = collect_deltas(&isa, &rtl, &env);
-                return Err(Box::new(fx));
-            }
-            interp::step_observed(circuit, &mut env, &mut rtl, cycles, &mut window).map_err(
-                |e| {
-                    Box::new(base(
-                        Some(format!("circuit error: {e}")),
-                        &ring,
-                        &impl_tail,
-                        &window,
-                        Some(instructions - 1),
-                        Some(cycles),
-                    ))
-                },
-            )?;
-            cycles += 1;
-        }
-        let (line, pc_now, regs_now) =
-            describe_rtl_retire(instructions - 1, cycles, prev_pc, &prev_regs, &rtl);
-        push_capped(&mut impl_tail, fcfg.tail, line);
-        prev_pc = pc_now;
-        prev_regs = regs_now;
-        if check_eq_isa_rtl(&isa, &rtl, &env).is_err() {
-            let mut fx =
-                base(None, &ring, &impl_tail, &window, Some(instructions - 1), Some(cycles));
-            fx.deltas = collect_deltas(&isa, &rtl, &env);
-            return Err(Box::new(fx));
-        }
+impl EquivTrail {
+    fn observe(&mut self, cycle: u64, rtl_st: &RtlState, v_st: &VarState) {
+        self.window.observe(cycle, rtl_st);
+        let line = |st: &dyn Signals| {
+            let (pc, state, retired) = (st.scalar("pc"), st.scalar("state"), st.scalar("retired"));
+            format!("cyc {cycle:<6} pc {pc:#010x} state {state} retired {retired}")
+        };
+        push_capped(&mut self.rtl, self.cap, line(rtl_st));
+        push_capped(&mut self.verilog, self.cap, line(v_st));
     }
-    Ok(LockstepReport { instructions, cycles })
 }
 
 /// [`check_cpu_verilog_equiv`](crate::verilog_level::check_cpu_verilog_equiv)
@@ -495,90 +277,34 @@ pub fn check_cpu_verilog_equiv_forensic(
     cycles: u64,
     fcfg: &ForensicConfig,
 ) -> Result<(), Box<Forensics>> {
-    use rtl::interp::RtlEnv as _;
     let circuit = silver_cpu();
-    let mut env = env_from_isa(initial, cfg.clone());
-    let mut window = VcdWindow::new(&circuit, fcfg.vcd_window);
-    let signals = scalar_signals(&circuit);
-    let tail_cap = fcfg.tail;
-    let mut rtl_tail: VecDeque<String> = VecDeque::new();
-    let mut v_tail: VecDeque<String> = VecDeque::new();
-    let result = rtl::check_equiv_observed(
+    let mut env = env_from_isa(initial, cfg);
+    let mut trail = EquivTrail {
+        window: VcdWindow::new(&circuit, fcfg.vcd_window),
+        cap: fcfg.tail,
+        rtl: VecDeque::new(),
+        verilog: VecDeque::new(),
+    };
+    let e = match rtl::check_equiv_observed(
         &circuit,
-        move |cycle, st| env.drive(cycle, st),
+        |cycle, st| env.drive(cycle, st),
         cycles,
-        |cycle, rtl_st, v_st| {
-            window.record(cycle, rtl_values(&signals, rtl_st));
-            let line = |pc: u64, state: u64, retired: u64| {
-                format!("cyc {cycle:<6} pc {pc:#010x} state {state} retired {retired}")
-            };
-            push_capped(
-                &mut rtl_tail,
-                tail_cap,
-                line(
-                    rtl_st.get_scalar("pc").unwrap_or(0),
-                    rtl_st.get_scalar("state").unwrap_or(0),
-                    rtl_st.get_scalar("retired").unwrap_or(0),
-                ),
-            );
-            let v = |name: &str| v_st.get(name).map(verilog::Value::as_u64).unwrap_or(0);
-            push_capped(&mut v_tail, tail_cap, line(v("pc"), v("state"), v("retired")));
-        },
-    );
-    match result {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let mut fx = Forensics::new("t10 RTL↔Verilog equivalence", "rtl", "verilog");
-            if let rtl::EquivError::Mismatch { cycle, name, rtl, verilog } = &e {
-                fx.divergent_cycle = Some(*cycle);
-                fx.deltas.push(RegDelta {
-                    field: name.clone(),
-                    spec: rtl.clone(),
-                    impl_: verilog.clone(),
-                });
-            } else {
-                fx.notes.push(e.to_string());
-            }
-            // The closures were moved into `check_equiv_observed`; the
-            // tails and window captured by reference would complicate the
-            // borrow story, so re-run the observed check to regenerate
-            // context. Forensic runs happen only on already-failing cases,
-            // so the extra simulation is cheap and bounded.
-            let mut env2 = env_from_isa(initial, cfg);
-            let mut window2 = VcdWindow::new(&circuit, fcfg.vcd_window);
-            let signals2 = scalar_signals(&circuit);
-            let mut rtl_tail2: VecDeque<String> = VecDeque::new();
-            let mut v_tail2: VecDeque<String> = VecDeque::new();
-            let _ = rtl::check_equiv_observed(
-                &circuit,
-                move |cycle, st| env2.drive(cycle, st),
-                cycles,
-                |cycle, rtl_st, v_st| {
-                    window2.record(cycle, rtl_values(&signals2, rtl_st));
-                    let line = |pc: u64, state: u64, retired: u64| {
-                        format!("cyc {cycle:<6} pc {pc:#010x} state {state} retired {retired}")
-                    };
-                    push_capped(
-                        &mut rtl_tail2,
-                        tail_cap,
-                        line(
-                            rtl_st.get_scalar("pc").unwrap_or(0),
-                            rtl_st.get_scalar("state").unwrap_or(0),
-                            rtl_st.get_scalar("retired").unwrap_or(0),
-                        ),
-                    );
-                    let v = |name: &str| v_st.get(name).map(verilog::Value::as_u64).unwrap_or(0);
-                    push_capped(&mut v_tail2, tail_cap, line(v("pc"), v("state"), v("retired")));
-                    if Some(cycle) == fx.divergent_cycle {
-                        fx.spec_tail = rtl_tail2.iter().cloned().collect();
-                        fx.impl_tail = v_tail2.iter().cloned().collect();
-                        fx.vcd_window = window2.render("silver_cpu");
-                    }
-                },
-            );
-            Err(Box::new(fx))
-        }
+        |cycle, rtl_st, v_st| trail.observe(cycle, rtl_st, v_st),
+    ) {
+        Ok(()) => return Ok(()),
+        Err(e) => e,
+    };
+    let mut fx = Forensics::new("t10 RTL\u{2194}Verilog equivalence", "rtl", "verilog");
+    if let rtl::EquivError::Mismatch { cycle, name, rtl, verilog } = e {
+        fx.divergent_cycle = Some(cycle);
+        fx.deltas.push(RegDelta { field: name, spec: rtl, impl_: verilog });
+    } else {
+        fx.notes.push(e.to_string());
     }
+    fx.spec_tail = trail.rtl.into();
+    fx.impl_tail = trail.verilog.into();
+    fx.vcd_window = trail.window.render("silver_cpu");
+    Err(Box::new(fx))
 }
 
 #[cfg(test)]
@@ -606,8 +332,8 @@ mod tests {
     #[test]
     fn forensic_lockstep_passes_on_healthy_cpu() {
         let s = count_to_ten();
-        let report = run_lockstep_forensic(
-            &silver_cpu(),
+        let report = crate::lockstep::check_lockstep(
+            silver_cpu(),
             &s,
             100,
             MemEnvConfig::default(),

@@ -8,138 +8,33 @@
 //! * [`check_cpu_verilog_equiv`] drives the circuit interpreter and the
 //!   Verilog semantics in lockstep under a real lab environment and
 //!   compares every signal each clock cycle (theorem 10);
-//! * [`run_verilog_program`] runs a whole program purely under the
-//!   Verilog semantics (theorem 7's `vstep m = Ok fin` runs), returning
-//!   the final variable state and the environment.
+//! * a [`CircuitMachine`](crate::CircuitMachine) built
+//!   [`with_verilog`](crate::CircuitMachine::with_verilog) runs a whole
+//!   program under the Verilog semantics (theorem 7's `vstep m = Ok fin`
+//!   runs), spot-checking the circuit's interface signals every cycle.
 
 use ag32::State;
-use rtl::equiv::{check_equiv, EquivError};
-use rtl::interp::RtlEnv;
-use verilog::eval::VarState;
+use obs::Forensics;
 
-use crate::cpu::silver_cpu;
-use crate::env::{MemEnv, MemEnvConfig};
-use crate::lockstep::{env_from_isa, init_rtl_from_isa, LockstepError};
+use crate::env::MemEnvConfig;
+use crate::trace::{check_cpu_verilog_equiv_forensic, ForensicConfig};
 
 /// Checks `cycles` cycles of circuit↔Verilog lockstep agreement for the
-/// Silver CPU under a lab environment built from `initial`'s memory.
+/// Silver CPU under a lab environment built from `initial`'s memory,
+/// comparing every signal each cycle.
+///
+/// Both sides start from the all-zero state; pc and registers start at
+/// zero, so `initial` must be based at pc 0 for this check (the tests
+/// arrange that). The environment still serves the real memory image.
 ///
 /// # Errors
 ///
-/// The first signal divergence or simulator error.
+/// The first signal divergence or simulator error, with the default
+/// forensics (see [`check_cpu_verilog_equiv_forensic`]).
 pub fn check_cpu_verilog_equiv(
     initial: &State,
     cfg: MemEnvConfig,
     cycles: u64,
-) -> Result<(), EquivError> {
-    let circuit = silver_cpu();
-    let mut env = env_from_isa(initial, cfg);
-    // `check_equiv` starts both sides from the all-zero state; pc and
-    // registers start at zero, so `initial` must be based at pc 0 for
-    // this check (the tests arrange that). The environment still serves
-    // the real memory image.
-    check_equiv(&circuit, move |cycle, st| env.drive(cycle, st), cycles)
-}
-
-/// Runs a program under the Verilog semantics until the mirrored circuit
-/// interpreter (used only to drive the shared environment and detect
-/// halt) reports halting; asserts signal agreement throughout.
-///
-/// Returns `(final_verilog_state, env, cycles)`.
-///
-/// # Errors
-///
-/// Divergence, simulator failure, or cycle-budget exhaustion.
-pub fn run_verilog_program(
-    initial: &State,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-) -> Result<(VarState, MemEnv, u64), LockstepError> {
-    run_verilog_program_observed(initial, cfg, max_cycles, &mut verilog::eval::NoCycleObserver)
-}
-
-/// [`run_verilog_program`] with a
-/// [`CycleObserver`](verilog::eval::CycleObserver) seeing every
-/// post-edge Verilog variable state — the hook `silverc --vcd`/
-/// `--profile` use on the Verilog backend.
-///
-/// # Errors
-///
-/// Divergence, simulator failure, or cycle-budget exhaustion.
-pub fn run_verilog_program_observed(
-    initial: &State,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-    obs: &mut impl verilog::eval::CycleObserver,
-) -> Result<(VarState, MemEnv, u64), LockstepError> {
-    let circuit = silver_cpu();
-    let module = rtl::generate(&circuit).map_err(LockstepError::Rtl)?;
-    let mut env = env_from_isa(initial, cfg);
-    let mut rtl_state = init_rtl_from_isa(&circuit, initial);
-    let mut v_state = module.initial_state().map_err(|e| LockstepError::Mismatch {
-        field: "init".into(),
-        isa: String::new(),
-        rtl: e.to_string(),
-    })?;
-    // Mirror the initial (non-zero) circuit state into the Verilog state.
-    for (name, value) in rtl_state.iter() {
-        match rtl::equiv::to_verilog_value(value) {
-            verilog::ast::ValueOrArray::Value(v) => {
-                v_state.set(name, v).map_err(verr)?;
-            }
-            verilog::ast::ValueOrArray::Unpacked(elems) => {
-                for (i, e) in elems.into_iter().enumerate() {
-                    v_state.set_index(name, i as u64, e).map_err(verr)?;
-                }
-            }
-        }
-    }
-    let mut cycles = 0u64;
-    let mut last_retired = 0u64;
-    loop {
-        if cycles >= max_cycles {
-            return Err(LockstepError::Timeout {
-                wanted: u64::MAX,
-                retired: rtl_state.get_scalar("retired")?,
-                max_cycles,
-            });
-        }
-        let driven = env.drive(cycles, &rtl_state);
-        for (name, value) in &driven {
-            rtl_state.set(name, value.clone())?;
-            if let verilog::ast::ValueOrArray::Value(v) = rtl::equiv::to_verilog_value(value) {
-                v_state.set(name, v).map_err(verr)?;
-            }
-        }
-        rtl::interp::cycle(&circuit, &mut rtl_state)?;
-        verilog::eval::cycle(&module, &mut v_state).map_err(verr)?;
-        obs.on_cycle(cycles, &v_state);
-        cycles += 1;
-        // Spot-check agreement on the architectural interface each cycle.
-        for name in ["pc", "state", "mem_addr", "mem_valid", "data_out", "retired"] {
-            let r = rtl_state.get_scalar(name)?;
-            let v = v_state.get(name).map_err(verr)?.as_u64();
-            if r != v {
-                return Err(LockstepError::Mismatch {
-                    field: name.into(),
-                    isa: format!("circuit {r:#x}"),
-                    rtl: format!("verilog {v:#x}"),
-                });
-            }
-        }
-        let retired = rtl_state.get_scalar("retired")?;
-        if retired != last_retired {
-            last_retired = retired;
-            if crate::lockstep::rtl_is_halted(&rtl_state, &env)? {
-                return Ok((v_state, env, cycles));
-            }
-        }
-        if rtl_state.get_scalar("state")? == crate::cpu::fsm::WEDGED {
-            return Ok((v_state, env, cycles));
-        }
-    }
-}
-
-fn verr(e: verilog::eval::VError) -> LockstepError {
-    LockstepError::Mismatch { field: "verilog".into(), isa: String::new(), rtl: e.to_string() }
+) -> Result<(), Box<Forensics>> {
+    check_cpu_verilog_equiv_forensic(initial, cfg, cycles, &ForensicConfig::default())
 }

@@ -1,14 +1,16 @@
 //! Observability is trustworthy: VCD dumps of a fixed RTL run are
 //! byte-stable (golden file), and an injected implementation bug is
-//! caught by the forensic lockstep runner with a report naming the
-//! divergent retire, the differing register, and both retire tails.
+//! caught by the per-retire lockstep with a report naming the divergent
+//! retire, the differing register, and both retire tails.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Reg, Ri, State};
+use ag32::{Func, Machine, Reg, Ri, State};
 use rtl::ast::{word, Circuit, RExpr, RStmt};
+use rtl::interp::NoCycleObserver;
 use silver::env::{Latency, MemEnvConfig};
-use silver::trace::{run_lockstep_forensic, ForensicConfig, RtlVcd};
-use silver::{run_rtl_program_observed, silver_cpu};
+use silver::lockstep::check_lockstep;
+use silver::trace::{ForensicConfig, Vcd};
+use silver::{silver_cpu, CircuitMachine};
 
 fn state_with_code(base: u32, code: &[u8]) -> State {
     let mut s = State::new();
@@ -33,6 +35,16 @@ fn fixed_program() -> State {
     state_with_code(0, &a.assemble().unwrap())
 }
 
+/// The VCD dump of [`fixed_program`] run to its halt on the circuit.
+fn dump_fixed_run() -> Vec<u8> {
+    let vcd = Vcd::new(Vec::new(), &silver_cpu(), "silver_cpu").expect("vcd header writes");
+    let s = fixed_program();
+    let mut m = CircuitMachine::with_circuit(silver_cpu(), &s, cfg_fixed(0), 10_000, vcd);
+    m.run(u64::MAX);
+    assert!(m.error().is_none() && m.is_halted(), "fixed run completes");
+    m.into_observer().finish().expect("vcd flushes")
+}
+
 /// The VCD dump of a fixed RTL run is byte-for-byte reproducible and
 /// matches the checked-in golden file. The writer emits no timestamps
 /// or tool versions, so the waveform is a function of the circuit and
@@ -40,11 +52,7 @@ fn fixed_program() -> State {
 /// silver --test observability`.
 #[test]
 fn vcd_golden_fixed_rtl_run() {
-    let s = fixed_program();
-    let mut vcd =
-        RtlVcd::new(Vec::new(), &silver_cpu(), "silver_cpu").expect("vcd header writes");
-    run_rtl_program_observed(&s, cfg_fixed(0), 10_000, &mut vcd).expect("fixed run completes");
-    let bytes = vcd.finish().expect("vcd flushes");
+    let bytes = dump_fixed_run();
     let text = String::from_utf8(bytes).expect("vcd is ascii");
 
     // Structural sanity regardless of the golden file.
@@ -66,15 +74,7 @@ fn vcd_golden_fixed_rtl_run() {
 /// the writer holds no hidden state.
 #[test]
 fn vcd_dump_is_deterministic() {
-    let s = fixed_program();
-    let mut out = Vec::new();
-    for _ in 0..2 {
-        let mut vcd =
-            RtlVcd::new(Vec::new(), &silver_cpu(), "silver_cpu").expect("vcd header writes");
-        run_rtl_program_observed(&s, cfg_fixed(0), 10_000, &mut vcd).expect("run completes");
-        out.push(vcd.finish().expect("vcd flushes"));
-    }
-    assert_eq!(out[0], out[1]);
+    assert_eq!(dump_fixed_run(), dump_fixed_run());
 }
 
 /// Rewrites every register-file write in the circuit to store
@@ -115,14 +115,14 @@ fn sabotaged_cpu() -> Circuit {
     c
 }
 
-/// The healthy circuit passes the forensic lockstep runner (forensics
+/// The healthy circuit passes the per-retire lockstep (forensics
 /// never fire on agreement), so the report below is caused by the
 /// injected bug alone.
 #[test]
 fn forensic_lockstep_passes_on_healthy_cpu() {
     let s = fixed_program();
-    let rep = run_lockstep_forensic(
-        &silver_cpu(),
+    let rep = check_lockstep(
+        silver_cpu(),
         &s,
         100,
         cfg_fixed(0),
@@ -141,8 +141,8 @@ fn forensic_lockstep_passes_on_healthy_cpu() {
 #[test]
 fn injected_t9_bug_yields_forensics() {
     let s = fixed_program();
-    let fx = run_lockstep_forensic(
-        &sabotaged_cpu(),
+    let fx = check_lockstep(
+        sabotaged_cpu(),
         &s,
         100,
         cfg_fixed(0),
@@ -207,8 +207,89 @@ fn forensic_tails_are_bounded() {
     a.halt(r(61));
     let s = state_with_code(0, &a.assemble().unwrap());
     let fcfg = ForensicConfig { tail: 8, vcd_window: 4 };
-    let fx = run_lockstep_forensic(&sabotaged_cpu(), &s, 1000, cfg_fixed(0), 1_000_000, &fcfg)
+    let fx = check_lockstep(sabotaged_cpu(), &s, 1000, cfg_fixed(0), 1_000_000, &fcfg)
         .expect_err("sabotaged CPU must diverge");
     assert!(fx.spec_tail.len() <= 8, "spec tail capped: {}", fx.spec_tail.len());
     assert!(fx.impl_tail.len() <= 8, "impl tail capped: {}", fx.impl_tail.len());
+}
+
+/// Rewrites only the register-file writes of `0xBAD0` to store `0xBAD1`
+/// — a fault whose effect a later write can erase.
+fn sabotage_magic_writes(stmts: &mut Vec<RStmt>, flipped: &mut usize) {
+    for s in stmts {
+        match s {
+            RStmt::SetMem(name, _idx, val) if name == "regs" => {
+                let old: RExpr = val.clone();
+                *val = old.clone().eq_(word(32, 0xBAD0)).mux(old.clone().xor_(word(32, 1)), old);
+                *flipped += 1;
+            }
+            RStmt::If(_, t, e) => {
+                sabotage_magic_writes(t, flipped);
+                sabotage_magic_writes(e, flipped);
+            }
+            RStmt::Case(_, arms, default) => {
+                for (_, body) in arms {
+                    sabotage_magic_writes(body, flipped);
+                }
+                if let Some(d) = default {
+                    sabotage_magic_writes(d, flipped);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A transient fault — a wrong register value that the program then
+/// overwrites with the right one — leaves the end states equal, so only
+/// a comparison on every retire (theorem (9) for every *n*) catches it,
+/// and the report names the retire that wrote the wrong value.
+#[test]
+fn transient_register_fault_is_caught_at_its_retire() {
+    let mut circuit = silver_cpu();
+    let mut flipped = 0;
+    for p in &mut circuit.processes {
+        sabotage_magic_writes(&mut p.body, &mut flipped);
+    }
+    assert!(flipped > 0);
+    let mut a = Assembler::new(0);
+    let r = Reg::new;
+    a.li(r(2), 7);
+    a.li(r(1), 0xBAD0); // retire 1: the circuit writes 0xBAD1
+    a.li(r(1), 0x1234); // retire 2: overwritten with the right value
+    a.halt(r(5));
+    let s = state_with_code(0, &a.assemble().unwrap());
+
+    // The end states agree: a check only at the final *n* passes.
+    let mut isa = s.clone();
+    isa.run(100);
+    let mut m =
+        CircuitMachine::with_circuit(circuit.clone(), &s, cfg_fixed(0), 10_000, NoCycleObserver);
+    m.run(u64::MAX);
+    assert!(m.error().is_none() && m.is_halted());
+    assert!(isa.isa_visible_eq(&m.capture()), "the fault leaves no trace at the end");
+
+    let fx = check_lockstep(circuit, &s, 100, cfg_fixed(0), 10_000, &ForensicConfig::default())
+        .expect_err("the per-retire lockstep catches the transient fault");
+    assert_eq!(fx.divergent_step, Some(1), "{}", fx.render());
+    let r1 = fx.deltas.iter().find(|d| d.field == "r1").expect("r1 delta");
+    assert_eq!((r1.spec.as_str(), r1.impl_.as_str()), ("0x0000bad0", "0x0000bad1"));
+}
+
+/// `divergent_step` is the zero-based retire index under every
+/// relation: a fault on the very first retire is step 0 under theorem J
+/// (jet) and under theorem (9) (the circuit).
+#[test]
+fn a_fault_on_the_first_retire_is_step_zero_everywhere() {
+    let mut a = Assembler::new(0);
+    let r = Reg::new;
+    a.normal(Func::Add, r(1), Ri::Imm(1), Ri::Imm(2));
+    a.halt(r(5));
+    let s = state_with_code(0, &a.assemble().unwrap());
+    let jet = jet::run_shadow(&s, 100, 1, 1).expect_err("the jet ALU fault is caught");
+    assert_eq!(jet.divergent_step, Some(0), "{}", jet.render());
+    let fcfg = ForensicConfig::default();
+    let t9 = check_lockstep(sabotaged_cpu(), &s, 100, cfg_fixed(0), 10_000, &fcfg)
+        .expect_err("the circuit fault is caught");
+    assert_eq!(t9.divergent_step, Some(0), "{}", t9.render());
 }

@@ -4,9 +4,9 @@
 //! Verilog semantics (theorem (7)'s `vstep m = Ok fin`).
 
 use ag32::asm::Assembler;
-use ag32::{Func, Reg, Ri, State};
+use ag32::{Func, Machine, Reg, Ri, State};
 use silver::env::{Latency, MemEnvConfig};
-use silver::{check_cpu_verilog_equiv, run_verilog_program};
+use silver::{check_cpu_verilog_equiv, CircuitMachine};
 
 fn demo_state() -> State {
     let mut a = Assembler::new(0);
@@ -42,18 +42,20 @@ fn cpu_verilog_lockstep_under_random_latency() {
 #[test]
 fn whole_program_runs_under_verilog_semantics() {
     let s = demo_state();
-    let (fin, env, cycles) = run_verilog_program(&s, MemEnvConfig::default(), 100_000).unwrap();
+    let mut m = CircuitMachine::new(&s, MemEnvConfig::default(), 100_000).with_verilog().unwrap();
+    let retired = m.run(u64::MAX);
+    assert!(m.error().is_none(), "{:?}", m.error());
     // The program computed 5+4+3+2+1 = 15, stored it and interrupted.
-    assert_eq!(env.mem.read_word(0x3000), 15);
-    assert_eq!(env.io_events.len(), 1);
-    assert_eq!(env.io_events[0].window, vec![15, 0, 0, 0]);
-    assert!(cycles > 0);
+    assert_eq!(m.read_word(0x3000), 15);
+    assert_eq!(m.io_events().len(), 1);
+    assert_eq!(m.io_events()[0].window, vec![15, 0, 0, 0]);
+    assert!(m.cycles() > 0);
     // Cross-check against the ISA run (theorem (7) composition).
     let mut isa = s.clone();
-    isa.run(10_000);
+    assert_eq!(isa.run(10_000), retired);
     assert!(isa.is_halted());
-    assert_eq!(u64::from(isa.pc), fin.get("pc").unwrap().as_u64());
-    assert_eq!(isa.io_events, env.io_events);
+    assert_eq!(isa.pc, m.pc());
+    assert_eq!(isa.io_events, m.io_events());
 }
 
 #[test]

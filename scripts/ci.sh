@@ -268,10 +268,9 @@ echo "== observability hygiene guard =="
 # delegate to its observed sibling with the no-op sink, the observed
 # stack runner must degrade to the plain one when nothing is asked
 # for, and campaign progress must default off.
-grep -q 'run_rtl_program_observed(initial, cfg, max_cycles, &mut interp::NoCycleObserver)' \
-    crates/silver/src/lockstep.rs
-grep -q 'run_verilog_program_observed(initial, cfg, max_cycles, &mut verilog::eval::NoCycleObserver)' \
-    crates/silver/src/verilog_level.rs
+grep -q 'pub struct CircuitMachine<O = NoCycleObserver>' crates/silver/src/machine.rs
+grep -q 'CircuitMachine::with_circuit(silver_cpu(), initial, cfg, max_cycles, NoCycleObserver)' \
+    crates/silver/src/machine.rs
 grep -q 'self.run_traced(fuel, cov, &mut NoTrace)' crates/ag32/src/state.rs
 grep -q 'run_with_oracle_traced(state, layout, ffi_names, fs, fuel, None)' \
     crates/basis/src/machine.rs
@@ -303,12 +302,12 @@ echo "ok: ref engine default, shadow off by default but exercised in checks"
 echo "== engine layering guard =="
 # Every ISA engine goes through one run loop (silver::exec) over
 # ag32::Machine, one engine enum and one exit predicate
-# (basis::halt_status). The halt sentinel may be compared only inside
+# (basis::classify_exit). The halt sentinel may be compared only inside
 # crates/basis, and the per-engine copies this replaced must not
 # come back.
 if grep -rnE '[!=]= *(basis::image::)?EXIT_UNSET|EXIT_UNSET *[!=]=' \
     --include='*.rs' crates tests examples | grep -v '^crates/basis/'; then
-    echo "EXIT_UNSET compared outside crates/basis; use basis::halt_status" >&2
+    echo "EXIT_UNSET compared outside crates/basis; use basis::classify_exit" >&2
     exit 1
 fi
 if grep -rnE 'enum (ServeEngine|SnapEngine)\b|fn run_(ref|jet)_' \
@@ -316,7 +315,21 @@ if grep -rnE 'enum (ServeEngine|SnapEngine)\b|fn run_(ref|jet)_' \
     echo "a per-engine enum or run loop reappeared; use ag32::Engine / silver::exec::run" >&2
     exit 1
 fi
-echo "ok: one run loop, one engine enum, one exit predicate"
+# The circuit level has one machine too: only silver::machine (and the
+# rtl/verilog crates themselves) clock the circuit or its Verilog, and
+# only crates/ag32 decides which jumps halt (ag32::halts).
+if grep -rnE 'interp::(step|step_observed|cycle)\(|verilog::eval::cycle\(' \
+    --include='*.rs' crates tests examples \
+    | grep -vE '^crates/(rtl|verilog)/|^crates/silver/src/machine\.rs:'; then
+    echo "the circuit is clocked outside silver::machine; drive a CircuitMachine" >&2
+    exit 1
+fi
+if grep -rnE 'Func::Snd *=>|func: *(\w+::)*Func::Snd, *a, *\.\.' --include='*.rs' crates tests examples \
+    | grep -v '^crates/ag32/'; then
+    echo "a halt predicate outside crates/ag32; use ag32::halts" >&2
+    exit 1
+fi
+echo "ok: one run loop, one engine enum, one exit predicate, one circuit machine, one halt predicate"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read

@@ -80,3 +80,21 @@ fn out_of_memory_is_a_clean_behaviour() {
         .unwrap();
     assert_eq!(isa.exit_code(), Some(cakeml::ast::EXIT_OOM));
 }
+
+#[test]
+fn every_backend_reports_the_same_retire_count() {
+    // The hardware backends count the instructions the circuit retires
+    // (the Verilog backend through its mirror); theorem (9) makes that
+    // the ISA's count.
+    let stack = Stack::new();
+    let compiled = stack.compile(silver_stack::apps::HELLO).expect("compiles");
+    let image = stack.load(&compiled, &["hello"], b"").expect("image");
+    let rc = RunConfig::default();
+    let run = |backend| stack.run_image(image.clone(), backend, &rc).expect("runs");
+    let (isa, rtl, verilog) = (run(Backend::Isa), run(Backend::Rtl), run(Backend::Verilog));
+    assert!(isa.instructions > 0);
+    assert_eq!(rtl.instructions, isa.instructions);
+    assert_eq!(verilog.instructions, rtl.instructions);
+    assert_eq!(verilog.cycles, rtl.cycles);
+    assert_eq!((&verilog.stdout, &verilog.exit), (&isa.stdout, &isa.exit));
+}
