@@ -9,16 +9,16 @@
 //!   per retired instruction — cheap enough to leave always-on, and the
 //!   basis of `silverc --stats` and the exhaustive encode↔exec coverage
 //!   closure test);
-//! * [`Coverage`] — a sink trait observing `(opcode, pc → pc')` retire
-//!   edges. `State::next`/`State::run` use the zero-sized [`NoCoverage`]
-//!   sink, which monomorphises to nothing, so the hot path pays for edge
-//!   hashing only when a campaign actually asks for it via
-//!   [`State::run_with`](crate::State::run_with);
-//! * [`EdgeSet`] — an AFL-style fixed-size edge bitmap [`Coverage`]
-//!   implementation: each retired `(pc, pc')` pair hashes to one bit,
-//!   and a case is "interesting" when it sets a bit no earlier case set.
+//! * [`EdgeSet`] — an AFL-style fixed-size edge bitmap: each retired
+//!   `(pc, pc')` pair hashes to one bit, and a case is "interesting"
+//!   when it sets a bit no earlier case set. It is a
+//!   [`Tracer`](crate::Tracer), so campaigns collect edges from the run
+//!   they check by handing it to `State::run_traced` or the shared run
+//!   loop; plain runs pass [`NoTrace`](crate::NoTrace) and pay nothing.
 
 use crate::insn::Instr;
+use crate::trace::{RetireEvent, Tracer};
+use crate::State;
 
 /// The instruction classes of §4.1.1, as dense indices for counters.
 ///
@@ -189,27 +189,6 @@ impl ExecStats {
     }
 }
 
-/// A sink observing every retired instruction.
-///
-/// Implementations receive the instruction class and the PC edge
-/// `(pc, pc')` the retire took. The default sink, [`NoCoverage`], is a
-/// zero-sized no-op: `State::run` monomorphises it away, so the
-/// fetch–decode–execute loop stays exactly as fast as before when no
-/// campaign is listening.
-pub trait Coverage {
-    /// Called after each retired instruction.
-    fn retire(&mut self, op: Opcode, pc: u32, next_pc: u32);
-}
-
-/// The no-op sink used by plain `State::next` / `State::run`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCoverage;
-
-impl Coverage for NoCoverage {
-    #[inline(always)]
-    fn retire(&mut self, _op: Opcode, _pc: u32, _next_pc: u32) {}
-}
-
 /// Number of bits in an [`EdgeSet`] bitmap (2 KiB of backing store —
 /// small enough to allocate per fuzz case, large enough that the Silver
 /// programs the campaigns generate collide rarely).
@@ -277,10 +256,10 @@ impl EdgeSet {
     }
 }
 
-impl Coverage for EdgeSet {
+impl Tracer for EdgeSet {
     #[inline]
-    fn retire(&mut self, _op: Opcode, pc: u32, next_pc: u32) {
-        self.insert(pc, next_pc);
+    fn retire(&mut self, ev: &RetireEvent, _state: &State) {
+        self.insert(ev.pc, ev.next_pc);
     }
 }
 

@@ -57,7 +57,7 @@ mod mem;
 mod state;
 pub mod trace;
 
-pub use coverage::{Coverage, EdgeSet, ExecStats, NoCoverage, Opcode};
+pub use coverage::{EdgeSet, ExecStats, Opcode};
 pub use disasm::{disassemble, dump};
 pub use encode::{decode, encode};
 pub use exec::{alu, shifter, AluOut};

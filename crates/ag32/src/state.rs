@@ -5,7 +5,7 @@
 //! words), the current program counter (PC), some flags, and a trace of
 //! I/O events."
 
-use crate::coverage::{Coverage, ExecStats, NoCoverage, Opcode};
+use crate::coverage::{ExecStats, Opcode};
 use crate::exec;
 use crate::insn::{Func, Instr, Ri};
 use crate::mem::Memory;
@@ -152,16 +152,7 @@ impl State {
 
     /// `Next`: fetch, decode and execute one instruction (§4.1).
     pub fn next(&mut self) -> StepOutcome {
-        self.next_with(&mut NoCoverage)
-    }
-
-    /// [`State::next`] with a [`Coverage`] sink observing the retire.
-    ///
-    /// With [`NoCoverage`] this monomorphises to exactly the plain
-    /// fetch–decode–execute step; campaigns pass an
-    /// [`EdgeSet`](crate::EdgeSet) to collect PC-edge coverage.
-    pub fn next_with<C: Coverage>(&mut self, cov: &mut C) -> StepOutcome {
-        self.next_traced(cov, &mut NoTrace)
+        self.next_traced(&mut NoTrace)
     }
 
     /// The destination register and (for stores) the complete memory
@@ -206,13 +197,14 @@ impl State {
         }
     }
 
-    /// [`State::next_with`] plus a [`Tracer`] observing the decoded
-    /// retire event.
+    /// [`State::next`] with a [`Tracer`] observing the decoded retire
+    /// event and the state it left behind.
     ///
     /// All event capture is guarded by [`Tracer::ACTIVE`], so with
-    /// [`NoTrace`] this compiles to exactly [`State::next_with`] — the
-    /// untraced hot path pays nothing (see the `trace_overhead` bench).
-    pub fn next_traced<C: Coverage, T: Tracer>(&mut self, cov: &mut C, tracer: &mut T) -> StepOutcome {
+    /// [`NoTrace`] this compiles to exactly the plain fetch–decode–execute
+    /// step — the untraced hot path pays nothing (see the
+    /// `trace_overhead` bench).
+    pub fn next_traced<T: Tracer>(&mut self, tracer: &mut T) -> StepOutcome {
         let instr = self.current_instr();
         if instr == Instr::Reserved {
             return StepOutcome::Wedged;
@@ -221,9 +213,7 @@ impl State {
         let (dst, mem_pre) = if T::ACTIVE { self.trace_capture(&instr) } else { (None, None) };
         exec::execute(self, instr);
         self.instructions_retired += 1;
-        let op = Opcode::of(&instr);
-        self.stats.opcode_retired[op as usize] += 1;
-        cov.retire(op, pc_before, self.pc);
+        self.stats.opcode_retired[Opcode::of(&instr) as usize] += 1;
         if T::ACTIVE {
             let reg_write = dst.map(|r| (r, self.regs[usize::from(r)]));
             let mem = mem_pre.map(|mut m| {
@@ -233,14 +223,15 @@ impl State {
                 }
                 m
             });
-            tracer.retire(&RetireEvent {
+            let ev = RetireEvent {
                 seq: self.instructions_retired - 1,
                 pc: pc_before,
                 next_pc: self.pc,
                 instr,
                 reg_write,
                 mem,
-            });
+            };
+            tracer.retire(&ev, self);
         }
         StepOutcome::Retired(instr)
     }
@@ -248,27 +239,17 @@ impl State {
     /// Runs up to `fuel` instructions, stopping early when
     /// [halted](State::is_halted) or wedged. Returns instructions retired.
     pub fn run(&mut self, fuel: u64) -> u64 {
-        self.run_with(fuel, &mut NoCoverage)
+        self.run_traced(fuel, &mut NoTrace)
     }
 
-    /// [`State::run`] with a [`Coverage`] sink observing every retire.
-    pub fn run_with<C: Coverage>(&mut self, fuel: u64, cov: &mut C) -> u64 {
-        self.run_traced(fuel, cov, &mut NoTrace)
-    }
-
-    /// [`State::run_with`] plus a [`Tracer`] observing every retire.
-    pub fn run_traced<C: Coverage, T: Tracer>(
-        &mut self,
-        fuel: u64,
-        cov: &mut C,
-        tracer: &mut T,
-    ) -> u64 {
+    /// [`State::run`] with a [`Tracer`] observing every retire.
+    pub fn run_traced<T: Tracer>(&mut self, fuel: u64, tracer: &mut T) -> u64 {
         let mut n = 0;
         while n < fuel {
             if self.is_halted() {
                 break;
             }
-            match self.next_traced(cov, tracer) {
+            match self.next_traced(tracer) {
                 StepOutcome::Retired(_) => n += 1,
                 StepOutcome::Wedged => break,
             }

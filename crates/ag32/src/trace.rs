@@ -1,21 +1,25 @@
-//! Execution tracing for the Silver ISA: retire events and retire-log
-//! ring buffers.
+//! Execution tracing for the Silver ISA: retire events, the one
+//! per-retire observer trait, and retire-log ring buffers.
 //!
-//! Sibling of [`coverage`](crate::coverage): where [`Coverage`] sinks
-//! observe `(opcode, pc → pc')` edges for fuzzing feedback, a [`Tracer`]
-//! observes fully decoded [`RetireEvent`]s — the program counter, the
-//! instruction, the register write and the memory operation of every
-//! retired instruction. This is the substrate for `silverc --trace`,
-//! divergence forensics and the cycle profiler.
+//! A [`Tracer`] observes every retired instruction as a fully decoded
+//! [`RetireEvent`] — the program counter, the instruction, the register
+//! write and the memory operation — together with the [`State`] the
+//! retire left behind. It is the ISA's only per-retire hook: the retire
+//! log and profiler of `silverc --trace`/`--profile`, the system-call
+//! tracer of `--trace-syscalls` (`basis::SyscallTracer`, which watches
+//! the PC reach FFI entry points) and the campaigns' PC-edge coverage
+//! ([`EdgeSet`](crate::EdgeSet)) are all tracers, and the shared run
+//! loop (`silver::exec::run`) hands one to whichever engine runs the
+//! reference retires.
 //!
-//! Like `NoCoverage`, the default [`NoTrace`] sink monomorphises to
-//! nothing: [`Tracer::ACTIVE`] is an associated `const`, and the
-//! event-capture code in `State::next_traced` is guarded by
-//! `if T::ACTIVE`, so untraced execution compiles to exactly the plain
-//! fetch–decode–execute step (verified by the `trace_overhead` bench).
+//! The default [`NoTrace`] sink monomorphises to nothing:
+//! [`Tracer::ACTIVE`] is an associated `const`, and the event-capture
+//! code in `State::next_traced` is guarded by `if T::ACTIVE`, so
+//! untraced execution compiles to exactly the plain fetch–decode–execute
+//! step (verified by the `trace_overhead` bench).
 
-use crate::coverage::Coverage;
 use crate::insn::Instr;
+use crate::State;
 
 /// A memory access performed by a retired instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +77,8 @@ impl RetireEvent {
     }
 }
 
-/// A sink observing every retired instruction as a [`RetireEvent`].
+/// A sink observing every retired instruction as a [`RetireEvent`],
+/// with the machine state after the retire.
 ///
 /// The [`ACTIVE`](Tracer::ACTIVE) const gates event capture in the
 /// interpreter: implementations that do nothing (i.e. [`NoTrace`]) set
@@ -82,8 +87,9 @@ pub trait Tracer {
     /// Whether the interpreter should build [`RetireEvent`]s at all.
     const ACTIVE: bool = true;
 
-    /// Called after each retired instruction.
-    fn retire(&mut self, ev: &RetireEvent);
+    /// Called after each retired instruction; `state` is the machine
+    /// the retire left behind (its PC is `ev.next_pc`).
+    fn retire(&mut self, ev: &RetireEvent, state: &State);
 }
 
 /// The no-op sink used by plain `State::next` / `State::run`.
@@ -93,14 +99,14 @@ pub struct NoTrace;
 impl Tracer for NoTrace {
     const ACTIVE: bool = false;
     #[inline(always)]
-    fn retire(&mut self, _ev: &RetireEvent) {}
+    fn retire(&mut self, _ev: &RetireEvent, _state: &State) {}
 }
 
 impl<T: Tracer> Tracer for &mut T {
     const ACTIVE: bool = T::ACTIVE;
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
-        (**self).retire(ev);
+    fn retire(&mut self, ev: &RetireEvent, state: &State) {
+        (**self).retire(ev, state);
     }
 }
 
@@ -108,9 +114,9 @@ impl<T: Tracer> Tracer for &mut T {
 impl<T: Tracer> Tracer for Option<T> {
     const ACTIVE: bool = T::ACTIVE;
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
+    fn retire(&mut self, ev: &RetireEvent, state: &State) {
         if let Some(t) = self {
-            t.retire(ev);
+            t.retire(ev, state);
         }
     }
 }
@@ -119,20 +125,9 @@ impl<T: Tracer> Tracer for Option<T> {
 impl<A: Tracer, B: Tracer> Tracer for (A, B) {
     const ACTIVE: bool = A::ACTIVE || B::ACTIVE;
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
-        self.0.retire(ev);
-        self.1.retire(ev);
-    }
-}
-
-/// A [`Coverage`] sink viewed as a tracer (pc-edge information only).
-#[derive(Debug, Default)]
-pub struct CoverageTracer<C: Coverage>(pub C);
-
-impl<C: Coverage> Tracer for CoverageTracer<C> {
-    #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
-        self.0.retire(crate::Opcode::of(&ev.instr), ev.pc, ev.next_pc);
+    fn retire(&mut self, ev: &RetireEvent, state: &State) {
+        self.0.retire(ev, state);
+        self.1.retire(ev, state);
     }
 }
 
@@ -233,7 +228,7 @@ impl RetireRing {
 
 impl Tracer for RetireRing {
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
+    fn retire(&mut self, ev: &RetireEvent, _state: &State) {
         self.push(*ev);
     }
 }

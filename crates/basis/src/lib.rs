@@ -15,8 +15,10 @@
 //! * [`image`] — the Figure-2 memory image builder (`initAg` made
 //!   constructive);
 //! * [`machine`] — `machine_sem` with the interference oracle, pure-`Next`
-//!   execution, and the I/O-event stream extraction the board-side
-//!   handler performs.
+//!   execution, the I/O-event stream extraction the board-side handler
+//!   performs, and the one run-result record ([`Finished`]);
+//! * [`trace`] — system-call traces, from the oracle or, as an
+//!   [`ag32::Tracer`], from a pure-`Next` run.
 //!
 //! The §6 obligation — that oracle-stepped and machine-code execution
 //! agree — is checked differentially in `tests/ffi_equiv.rs`.
@@ -51,9 +53,8 @@ pub use cakeml::TargetLayout;
 pub use fs::FsState;
 pub use image::{build_image, ImageError};
 pub use machine::{
-    classify_exit, extract_streams, run_to_halt, run_to_halt_observed,
-    run_to_halt_traced, run_to_halt_with, run_with_oracle, run_with_oracle_traced, ExitStatus,
-    MachineResult,
+    classify_exit, extract_streams, finished, run_to_halt, run_to_halt_observed, run_with_oracle,
+    run_with_oracle_traced, ExitStatus, Finished,
 };
 pub use oracle::{call_ffi, BasisHost, FfiOutcome};
-pub use trace::{call_ffi_traced, fd_summary, SyscallEvent, SyscallTrace};
+pub use trace::{call_ffi_traced, fd_summary, SyscallEvent, SyscallTrace, SyscallTracer};

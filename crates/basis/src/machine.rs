@@ -5,18 +5,23 @@
 //! * [`run_to_halt`] — pure `Next` steps; system calls execute their real
 //!   machine code; output is recovered from the `Interrupt` I/O events
 //!   (what the lab setup's ARM core would print). This is the theorem-(6)
-//!   level of the paper.
+//!   level of the paper. [`run_to_halt_observed`] hands every retire to
+//!   an [`ag32::Tracer`] — an [`EdgeSet`](ag32::EdgeSet) for campaign
+//!   coverage, a [`SyscallTracer`](crate::SyscallTracer) for the calls
+//!   the run makes.
 //! * [`run_with_oracle`] — the paper's `machine_sem`: ordinary steps use
 //!   `Next`, but when the PC reaches an FFI entry point the *interference
 //!   oracle* (`basis_ffi`) services the call directly on the model
 //!   filesystem and execution resumes at the return address. This is the
 //!   theorem-(4) level.
 //!
-//! The `ffi_equiv` test-suite checks the two agree — the §6 obligation
-//! (theorems (11)–(13)) that lets the paper replace `installedAg` by
-//! `initAg`.
+//! Every run — these, the sliced run loop behind `silver-stack` and the
+//! service, and the circuit backends — ends in one [`Finished`] record.
+//! The `ffi_equiv` test-suite checks the two modes agree — the §6
+//! obligation (theorems (11)–(13)) that lets the paper replace
+//! `installedAg` by `initAg`.
 
-use ag32::{IoEvent, Machine, State};
+use ag32::{ExecStats, IoEvent, Machine, NoTrace, State, Tracer};
 use cakeml::TargetLayout;
 
 use crate::fs::FsState;
@@ -38,22 +43,22 @@ pub enum ExitStatus {
     FfiFailed(String),
 }
 
-/// Result of a machine-level run.
+/// A run that reached its end: halt, wedge or fuel exhaustion.
 #[derive(Clone, Debug)]
-pub struct MachineResult {
+pub struct Finished {
     /// Exit classification.
     pub exit: ExitStatus,
-    /// Bytes written to standard output.
+    /// Standard output bytes.
     pub stdout: Vec<u8>,
-    /// Bytes written to standard error.
+    /// Standard error bytes.
     pub stderr: Vec<u8>,
-    /// Instructions retired.
+    /// Instructions retired since boot.
     pub instructions: u64,
-    /// Final machine state.
-    pub state: State,
+    /// Per-opcode retire counters.
+    pub stats: ExecStats,
 }
 
-impl MachineResult {
+impl Finished {
     /// Standard output as a string (lossy).
     #[must_use]
     pub fn stdout_utf8(&self) -> String {
@@ -112,119 +117,38 @@ pub fn classify_exit<M: Machine>(m: &M, layout: &TargetLayout, fuel_left: bool) 
     }
 }
 
+/// The end of a run of `m` under a retire budget of `fuel` from boot:
+/// the exit classification and output streams every machine shares —
+/// the reference interpreter, jet, a lockstep, and the circuit backends.
+#[must_use]
+pub fn finished<M: Machine>(m: &M, layout: &TargetLayout, fuel: u64) -> Finished {
+    let (stdout, stderr) = extract_streams(m.io_events());
+    Finished {
+        exit: classify_exit(m, layout, m.retired() < fuel),
+        stdout,
+        stderr,
+        instructions: m.retired(),
+        stats: m.stats().clone(),
+    }
+}
+
 /// Runs a loaded image under pure `Next` steps until it halts.
 #[must_use]
-pub fn run_to_halt(state: State, layout: &TargetLayout, fuel: u64) -> MachineResult {
-    run_to_halt_with(state, layout, fuel, &mut ag32::NoCoverage)
+pub fn run_to_halt(state: State, layout: &TargetLayout, fuel: u64) -> Finished {
+    run_to_halt_observed(state, layout, fuel, &mut NoTrace)
 }
 
-/// [`run_to_halt`] with a [`Coverage`](ag32::Coverage) sink observing
-/// every retired instruction — the campaign engine passes an
-/// [`EdgeSet`](ag32::EdgeSet) here to collect PC-edge coverage.
+/// [`run_to_halt`] with `tracer` observing every retired instruction.
+/// With [`NoTrace`] this compiles down to [`run_to_halt`].
 #[must_use]
-pub fn run_to_halt_with<C: ag32::Coverage>(
-    state: State,
-    layout: &TargetLayout,
-    fuel: u64,
-    cov: &mut C,
-) -> MachineResult {
-    run_to_halt_observed(state, layout, fuel, cov, &mut ag32::NoTrace)
-}
-
-/// [`run_to_halt_with`] plus an [`ag32::Tracer`] observing every retired
-/// instruction — `silverc --trace`/`--profile` pass a retire ring or a
-/// cycle profiler here. With [`ag32::NoTrace`] this compiles down to
-/// [`run_to_halt_with`].
-#[must_use]
-pub fn run_to_halt_observed<C: ag32::Coverage, T: ag32::Tracer>(
+pub fn run_to_halt_observed<T: Tracer>(
     mut state: State,
     layout: &TargetLayout,
     fuel: u64,
-    cov: &mut C,
     tracer: &mut T,
-) -> MachineResult {
-    let instructions = state.run_traced(fuel, cov, tracer);
-    let exit = classify_exit(&state, layout, instructions < fuel);
-    let (stdout, stderr) = extract_streams(&state.io_events);
-    MachineResult { exit, stdout, stderr, instructions, state }
-}
-
-/// The in-memory device state, summarised the way
-/// [`fd_summary`](crate::trace::fd_summary) summarises an [`FsState`]:
-/// machine-level runs realise only the standard streams, whose cursor
-/// lives in the stdin region (`length | cursor | contents`).
-fn device_summary(state: &State, layout: &TargetLayout) -> String {
-    let len = state.mem.read_word(layout.stdin_base);
-    let pos = state.mem.read_word(layout.stdin_base + 4);
-    format!("stdin@{}/{len}", pos.min(len))
-}
-
-/// [`run_to_halt`] with system-call tracing: execution still goes
-/// through the *real* system-call machine code (pure `Next` steps), but
-/// whenever the PC reaches an FFI entry point the call's name and
-/// arguments are captured from the machine state, and when control
-/// returns to the saved link address the protocol status byte and the
-/// device state are recorded. The `exit` call never returns; its event
-/// is finalised when the machine halts.
-#[must_use]
-pub fn run_to_halt_traced(
-    mut state: State,
-    layout: &TargetLayout,
-    ffi_names: &[String],
-    fuel: u64,
-    trace: &mut SyscallTrace,
-) -> MachineResult {
-    let entries: Vec<(u32, String)> = ffi_names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (state.mem.read_word(layout.ffi_entry_addr(i as u32)), n.clone()))
-        .collect();
-    let mut instructions = 0u64;
-    // An FFI call in flight: (return address, bytes pointer, event index).
-    let mut pending: Option<(u32, u32, usize)> = None;
-    while instructions < fuel && !state.is_halted() {
-        if let Some((ret, bytes_ptr, idx)) = pending {
-            if state.pc == ret {
-                let status = state.mem.read_bytes(bytes_ptr, 1).first().copied();
-                let ev = &mut trace.events[idx];
-                if ev.bytes_len > 0 {
-                    ev.status = status;
-                }
-                ev.fds = device_summary(&state, layout);
-                pending = None;
-            }
-        }
-        if pending.is_none() {
-            if let Some((_, name)) = entries.iter().find(|(a, _)| *a == state.pc) {
-                let conf = state.mem.read_bytes(state.regs[1], state.regs[2]);
-                trace.events.push(crate::trace::SyscallEvent {
-                    seq: trace.events.len() as u64,
-                    pc: state.pc,
-                    name: name.clone(),
-                    conf: String::from_utf8_lossy(&conf).into_owned(),
-                    bytes_len: state.regs[4] as usize,
-                    status: None,
-                    outcome: "machine".to_string(),
-                    fds: String::new(),
-                });
-                pending = Some((state.regs[62], state.regs[3], trace.events.len() - 1));
-            }
-        }
-        state.next();
-        instructions += 1;
-    }
-    if let Some((_, bytes_ptr, idx)) = pending {
-        // `exit` (or a wedge) never came back; finalise from the final state.
-        let status = state.mem.read_bytes(bytes_ptr, 1).first().copied();
-        let ev = &mut trace.events[idx];
-        if ev.bytes_len > 0 {
-            ev.status = status;
-        }
-        ev.fds = device_summary(&state, layout);
-    }
-    let exit = classify_exit(&state, layout, instructions < fuel);
-    let (stdout, stderr) = extract_streams(&state.io_events);
-    MachineResult { exit, stdout, stderr, instructions, state }
+) -> Finished {
+    state.run_traced(fuel, tracer);
+    finished(&state, layout, fuel)
 }
 
 /// Runs a loaded image under `machine_sem`: FFI entry points are serviced
@@ -237,7 +161,7 @@ pub fn run_with_oracle(
     ffi_names: &[String],
     fs: FsState,
     fuel: u64,
-) -> MachineResult {
+) -> Finished {
     run_with_oracle_traced(state, layout, ffi_names, fs, fuel, None)
 }
 
@@ -253,7 +177,7 @@ pub fn run_with_oracle_traced(
     mut fs: FsState,
     fuel: u64,
     mut trace: Option<&mut SyscallTrace>,
-) -> MachineResult {
+) -> Finished {
     // Entry addresses from the jump table (the image builder wrote them).
     let entries: Vec<(u32, String)> = ffi_names
         .iter()
@@ -297,13 +221,7 @@ pub fn run_with_oracle_traced(
         state.next();
         instructions += 1;
     };
-    MachineResult {
-        exit,
-        stdout: fs.stdout.clone(),
-        stderr: fs.stderr.clone(),
-        instructions,
-        state,
-    }
+    Finished { exit, stdout: fs.stdout, stderr: fs.stderr, instructions, stats: state.stats }
 }
 
 #[cfg(test)]
@@ -321,17 +239,12 @@ mod tests {
         .expect("compiles");
         let image = crate::build_image(&compiled, &["prog"], b"").expect("image");
         let plain = run_to_halt(image.clone(), &compiled.layout, 50_000_000);
-        let mut trace = SyscallTrace::new();
-        let traced = run_to_halt_traced(
-            image,
-            &compiled.layout,
-            &compiled.ffi_names,
-            50_000_000,
-            &mut trace,
-        );
+        let mut calls = crate::SyscallTracer::new(&image, &compiled.layout, &compiled.ffi_names);
+        let traced = run_to_halt_observed(image, &compiled.layout, 50_000_000, &mut calls);
         assert_eq!(traced.exit, plain.exit);
         assert_eq!(traced.stdout, plain.stdout);
         assert_eq!(traced.instructions, plain.instructions, "tracing must not perturb the run");
+        let trace = calls.into_trace();
         assert!(!trace.is_empty(), "print goes through the FFI");
         let text = trace.render();
         assert!(text.contains("write"), "{text}");

@@ -3,11 +3,18 @@
 //! A [`SyscallTrace`] records one [`SyscallEvent`] per FFI call: the
 //! call name, its configuration string, the byte-array size, the
 //! post-call status byte, a short result summary, and the descriptor
-//! state after the call. Tracing is opt-in at every call site (the
-//! untraced entry points never construct events), so the differential
-//! harnesses pay nothing for it.
+//! state after the call. Two producers fill it: [`call_ffi_traced`],
+//! where the `basis_ffi` oracle services calls (`machine_sem`), and
+//! [`SyscallTracer`], an [`ag32::Tracer`] watching a pure-`Next` run
+//! execute the real system-call machine code — the run it observes is
+//! the run that produces the result. Tracing is opt-in at every call
+//! site (the untraced entry points never construct events), so the
+//! differential harnesses pay nothing for it.
 
 use std::fmt::Write as _;
+
+use ag32::{RetireEvent, State, Tracer};
+use cakeml::TargetLayout;
 
 use crate::fs::FsState;
 use crate::oracle::FfiOutcome;
@@ -142,6 +149,117 @@ pub fn call_ffi_traced(
         fds: fd_summary(fs),
     });
     outcome
+}
+
+/// An FFI call the machine entered and has not returned from, with the
+/// status byte and stdin device as of the last retire — what its event
+/// records once the call returns, or, for a call that never does
+/// (`exit`, fuel exhaustion), once the run ends.
+#[derive(Clone, Copy, Debug)]
+struct InFlight {
+    /// Index of the call's event.
+    idx: usize,
+    /// The link address the call returns to.
+    ret: u32,
+    /// The call's byte array; its first byte is the protocol status.
+    bytes_ptr: u32,
+    status: u8,
+    /// The stdin device's `(length, cursor)` words.
+    stdin: (u32, u32),
+}
+
+impl InFlight {
+    fn observe(&mut self, s: &State, stdin_base: u32) {
+        self.status = s.mem.read_byte(self.bytes_ptr);
+        self.stdin = (s.mem.read_word(stdin_base), s.mem.read_word(stdin_base + 4));
+    }
+}
+
+/// System-call tracing for pure-`Next` runs, as an [`ag32::Tracer`]:
+/// the calls execute their real machine code, and whenever a retire
+/// leaves the PC at an FFI entry point the call's name and arguments
+/// are captured from the machine state; when control returns to the
+/// saved link address the protocol status byte and the device state
+/// are recorded. Machine-level runs realise only the standard streams,
+/// so the device state is the stdin cursor (`stdin@cursor/length`).
+#[derive(Clone, Debug)]
+pub struct SyscallTracer {
+    /// FFI entry addresses (read from the image's jump table) and names.
+    entries: Vec<(u32, String)>,
+    stdin_base: u32,
+    trace: SyscallTrace,
+    in_flight: Option<InFlight>,
+}
+
+impl SyscallTracer {
+    /// A tracer for runs of `image`, whose FFI jump table (laid out by
+    /// `layout`) names the calls `ffi_names`.
+    #[must_use]
+    pub fn new(image: &State, layout: &TargetLayout, ffi_names: &[String]) -> Self {
+        let entries = ffi_names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (image.mem.read_word(layout.ffi_entry_addr(i as u32)), n.clone()))
+            .collect();
+        SyscallTracer {
+            entries,
+            stdin_base: layout.stdin_base,
+            trace: SyscallTrace::new(),
+            in_flight: None,
+        }
+    }
+
+    /// The trace, with a call still in flight recorded as the run left it.
+    #[must_use]
+    pub fn into_trace(mut self) -> SyscallTrace {
+        self.settle();
+        self.trace
+    }
+
+    fn settle(&mut self) {
+        if let Some(call) = self.in_flight.take() {
+            let ev = &mut self.trace.events[call.idx];
+            if ev.bytes_len > 0 {
+                ev.status = Some(call.status);
+            }
+            let (len, pos) = call.stdin;
+            ev.fds = format!("stdin@{}/{len}", pos.min(len));
+        }
+    }
+}
+
+impl Tracer for SyscallTracer {
+    fn retire(&mut self, _ev: &RetireEvent, s: &State) {
+        if let Some(call) = &mut self.in_flight {
+            call.observe(s, self.stdin_base);
+            if s.pc != call.ret {
+                return;
+            }
+            self.settle();
+        }
+        if let Some((_, name)) = self.entries.iter().find(|(a, _)| *a == s.pc) {
+            let conf = s.mem.read_bytes(s.regs[1], s.regs[2]);
+            self.trace.events.push(SyscallEvent {
+                seq: self.trace.events.len() as u64,
+                pc: s.pc,
+                name: name.clone(),
+                conf: String::from_utf8_lossy(&conf).into_owned(),
+                bytes_len: s.regs[4] as usize,
+                status: None,
+                outcome: "machine".to_string(),
+                fds: String::new(),
+            });
+            let mut call = InFlight {
+                idx: self.trace.events.len() - 1,
+                ret: s.regs[62],
+                bytes_ptr: s.regs[3],
+                status: 0,
+                stdin: (0, 0),
+            };
+            call.observe(s, self.stdin_base);
+            self.in_flight = Some(call);
+        }
+    }
 }
 
 #[cfg(test)]

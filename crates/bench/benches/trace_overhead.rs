@@ -10,13 +10,15 @@
 //! * `isa_notrace_sink` — `run_traced` with the [`ag32::NoTrace`] sink
 //!   (must be within noise of the baseline: the <2% claim);
 //! * `isa_retire_ring_32` — the last-32 retire ring switched on;
-//! * `isa_profiler` — per-symbol retire attribution switched on.
+//! * `isa_profiler` — per-symbol retire attribution switched on;
+//! * `isa_edge_set` — campaign PC-edge coverage ([`ag32::EdgeSet`]).
 //!
-//! The ring and profiler rows document the *opt-in* cost, not a
-//! regression: they run only under `silverc --trace`/`--profile`.
+//! The ring, profiler and edge-set rows document the *opt-in* cost, not
+//! a regression: they run only under `silverc --trace`/`--profile` and
+//! in fuzz campaigns.
 
 use ag32::asm::Assembler;
-use ag32::{Func, NoCoverage, NoTrace, Reg, Ri, RetireRing, State};
+use ag32::{EdgeSet, Func, NoTrace, Reg, Ri, RetireRing, State};
 use obs::CycleProfiler;
 use testkit::bench::Bench;
 
@@ -50,7 +52,7 @@ fn main() {
 
     b.bench("isa_notrace_sink", || {
         let mut s = loop_program(ITERS);
-        let n = s.run_traced(FUEL, &mut NoCoverage, &mut NoTrace);
+        let n = s.run_traced(FUEL, &mut NoTrace);
         assert!(s.is_halted());
         n
     });
@@ -58,7 +60,7 @@ fn main() {
     b.bench("isa_retire_ring_32", || {
         let mut s = loop_program(ITERS);
         let mut ring = RetireRing::new(32);
-        let n = s.run_traced(FUEL, &mut NoCoverage, &mut ring);
+        let n = s.run_traced(FUEL, &mut ring);
         assert!(s.is_halted());
         assert_eq!(ring.total(), n);
         n
@@ -67,9 +69,18 @@ fn main() {
     b.bench("isa_profiler", || {
         let mut s = loop_program(ITERS);
         let mut prof = CycleProfiler::new(vec![(0, "loop".to_string())]);
-        let n = s.run_traced(FUEL, &mut NoCoverage, &mut prof);
+        let n = s.run_traced(FUEL, &mut prof);
         assert!(s.is_halted());
         assert_eq!(prof.total(), n);
+        n
+    });
+
+    b.bench("isa_edge_set", || {
+        let mut s = loop_program(ITERS);
+        let mut edges = EdgeSet::new();
+        let n = s.run_traced(FUEL, &mut edges);
+        assert!(s.is_halted());
+        assert!(edges.count() > 0);
         n
     });
 

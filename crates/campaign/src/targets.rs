@@ -23,7 +23,7 @@
 use std::ops::ControlFlow;
 
 use ag32::Machine as _;
-use basis::{build_image, run_to_halt_with, run_with_oracle, BasisHost, ExitStatus, FsState};
+use basis::{build_image, run_to_halt_observed, run_with_oracle, BasisHost, ExitStatus, FsState};
 use cakeml::{
     compile_source, frontend, program_features, run_program, CompilerConfig, NoFfi, Stop,
     TargetLayout,
@@ -229,7 +229,7 @@ impl Target for CompilerTarget {
             s = ls.capture();
             "jet"
         } else {
-            s.run_with(100_000_000, &mut cov.edges);
+            s.run_traced(100_000_000, &mut cov.edges);
             "isa"
         };
         cov.stats = s.stats.clone();
@@ -276,7 +276,7 @@ impl Target for LockstepTarget {
         // ISA-side coverage run.
         let mut cov = CovSnap::new();
         let mut isa = state.clone();
-        isa.run_with(max_instructions, &mut cov.edges);
+        isa.run_traced(max_instructions, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
         let max_cycles = max_instructions * 64 + 10_000;
@@ -343,7 +343,7 @@ impl Target for VerilogTarget {
         // itself compares signals, not retires).
         let mut cov = CovSnap::new();
         let mut isa = state.clone();
-        isa.run_with(cycles, &mut cov.edges);
+        isa.run_traced(cycles, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
         // One observed run: a divergence comes back with its forensics —
@@ -381,16 +381,12 @@ impl Target for JetTarget {
         let state = gen::isa_state(ctx);
         let fuel: u64 = ctx.gen_range(50u64..=2000);
 
-        // ISA-side coverage run (the spec side of the relation).
-        let mut cov = CovSnap::new();
-        let mut isa = state.clone();
-        isa.run_with(fuel, &mut cov.edges);
-        cov.stats = isa.stats.clone();
-
         // The lockstep runs in quarter-fuel slices through the stack's
         // run loop, keeping the reference state at each boundary, so a
         // divergence replays from its anchor — the last verified-good
-        // boundary — instead of from boot.
+        // boundary — instead of from boot. Coverage comes from the same
+        // run: the edges of its reference side, the stats of its end.
+        let mut cov = CovSnap::new();
         let plan = Plan {
             layout: &TargetLayout::default(),
             engine: ag32::Engine::Jet,
@@ -399,7 +395,12 @@ impl Target for JetTarget {
             every: (fuel / 4).max(1),
         };
         let mut anchor = LastBoundary(None);
-        match silver::exec::run(state, &plan, &mut anchor) {
+        match silver::exec::run(state, &plan, &mut anchor, &mut cov.edges) {
+            RunEnd::Done(f) => {
+                cov.stats = f.stats;
+                CaseOutcome::pass(cov)
+            }
+            RunEnd::Stopped(never) => match never {},
             RunEnd::Diverged(fx) => {
                 let mut message = fx.render();
                 if let Some(anchor) = anchor.0 {
@@ -417,7 +418,6 @@ impl Target for JetTarget {
                 }
                 CaseOutcome::fail(cov, "jet vs isa", message)
             }
-            _ => CaseOutcome::pass(cov),
         }
     }
 }
@@ -463,7 +463,7 @@ impl Target for SnapTarget {
         // ISA-side coverage run.
         let mut cov = CovSnap::new();
         let mut isa = state.clone();
-        isa.run_with(fuel, &mut cov.edges);
+        isa.run_traced(fuel, &mut cov.edges);
         cov.stats = isa.stats.clone();
 
         // Uninterrupted reference run: the crash-resume baseline.
@@ -586,8 +586,6 @@ impl Target for SyscallTarget {
                 return CaseOutcome::fail(cov, "source", format!("interpreter: {other}\n{src}"))
             }
         };
-        let spec_out = host.fs.stdout_utf8();
-        let spec_err = host.fs.stderr_utf8();
 
         let compiled = match compile_source(&src, layout, &cfg) {
             Ok(c) => c,
@@ -607,23 +605,24 @@ impl Target for SyscallTarget {
             500_000_000,
         );
         if oracle_run.exit != ExitStatus::Exited(spec_code)
-            || oracle_run.stdout_utf8() != spec_out
-            || oracle_run.stderr_utf8() != spec_err
+            || oracle_run.stdout != host.fs.stdout
+            || oracle_run.stderr != host.fs.stderr
         {
             return CaseOutcome::fail(
                 cov,
                 "oracle vs source",
                 format!(
-                    "oracle-mode {:?}/{:?} vs interpreter {spec_code}/{spec_out:?} for:\n{src}",
+                    "oracle-mode {:?}/{:?} vs interpreter {spec_code}/{:?} for:\n{src}",
                     oracle_run.exit,
-                    oracle_run.stdout_utf8()
+                    oracle_run.stdout_utf8(),
+                    host.fs.stdout_utf8()
                 ),
             );
         }
 
         // 3. Pure `Next` through the real system-call machine code.
-        let machine_run = run_to_halt_with(image, &layout, 500_000_000, &mut cov.edges);
-        cov.stats = machine_run.state.stats.clone();
+        let machine_run = run_to_halt_observed(image, &layout, 500_000_000, &mut cov.edges);
+        cov.stats = machine_run.stats.clone();
         if machine_run.exit != oracle_run.exit
             || machine_run.stdout != oracle_run.stdout
             || machine_run.stderr != oracle_run.stderr

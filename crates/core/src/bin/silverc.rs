@@ -46,6 +46,14 @@
 //!   backends — and writes flamegraph folded stacks to FILE (`-` for
 //!   stderr).
 //!
+//! On the ISA backend the observers ride on the one run, so an observed
+//! run executes once and honours `--checkpoint` and `--shadow`. They see
+//! reference retires: under `--engine jet --shadow` those of the
+//! lockstep's reference side, while an observed `--engine jet` run
+//! without `--shadow` executes on the reference interpreter (theorem J:
+//! same output, counts and histogram). Every configuration prints the
+//! same observation lines.
+//!
 //! Snapshot/replay (ISA backend only; see the "Snapshot/replay" section
 //! of `EXPERIMENTS.md`):
 //!

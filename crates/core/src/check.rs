@@ -182,17 +182,19 @@ fn expect_exit(layer: Layer, r: &StackResult) -> Result<u8, CheckFailure> {
     }
 }
 
-/// Compares the observable behaviour of two layers' runs.
+/// Compares the observable behaviour of two layers' runs. Output
+/// streams compare byte for byte; the lossy text only renders failures.
 fn compare_behaviour(
     spec: Layer,
     spec_code: u8,
-    spec_out: &str,
-    spec_err: &str,
+    spec_out: &[u8],
+    spec_err: &[u8],
     impl_: Layer,
     impl_code: u8,
-    impl_out: &str,
-    impl_err: &str,
+    impl_out: &[u8],
+    impl_err: &[u8],
 ) -> Result<(), CheckFailure> {
+    let text = String::from_utf8_lossy;
     if impl_code != spec_code {
         return Err(CheckFailure::Disagreement {
             spec,
@@ -204,14 +206,14 @@ fn compare_behaviour(
         return Err(CheckFailure::Disagreement {
             spec,
             impl_,
-            message: format!("stdout {impl_out:?} vs {spec_out:?}"),
+            message: format!("stdout {:?} vs {:?}", text(impl_out), text(spec_out)),
         });
     }
     if impl_err != spec_err {
         return Err(CheckFailure::Disagreement {
             spec,
             impl_,
-            message: format!("stderr {impl_err:?} vs {spec_err:?}"),
+            message: format!("stderr {:?} vs {:?}", text(impl_err), text(spec_err)),
         });
     }
     Ok(())
@@ -242,8 +244,6 @@ pub fn check_end_to_end(
     let mut host = BasisHost::new(FsState::stdin_only(args, stdin));
     let interp = cakeml::run_program(&prog, &mut host, opts.interp_fuel)
         .map_err(|e| err(Layer::Source, format!("interpreter: {e}")))?;
-    let spec_out = host.fs.stdout_utf8();
-    let spec_err = host.fs.stderr_utf8();
 
     let compiled = stack.compile(src).map_err(|e| err(Layer::Source, e.to_string()))?;
     let image = stack
@@ -258,12 +258,12 @@ pub fn check_end_to_end(
     compare_behaviour(
         Layer::Source,
         interp.exit_code,
-        &spec_out,
-        &spec_err,
+        &host.fs.stdout,
+        &host.fs.stderr,
         isa_layer,
         isa_code,
-        &isa.stdout_utf8(),
-        &isa.stderr_utf8(),
+        &isa.stdout,
+        &isa.stderr,
     )?;
 
     // Circuit level (theorem (9) composed in).
@@ -274,12 +274,12 @@ pub fn check_end_to_end(
     compare_behaviour(
         isa_layer,
         isa_code,
-        &isa.stdout_utf8(),
-        &isa.stderr_utf8(),
+        &isa.stdout,
+        &isa.stderr,
         Layer::Rtl,
         rtl_code,
-        &rtl.stdout_utf8(),
-        &rtl.stderr_utf8(),
+        &rtl.stdout,
+        &rtl.stderr,
     )?;
 
     // Verilog level (theorem (8)).
@@ -291,12 +291,12 @@ pub fn check_end_to_end(
         compare_behaviour(
             isa_layer,
             isa_code,
-            &isa.stdout_utf8(),
-            &isa.stderr_utf8(),
+            &isa.stdout,
+            &isa.stderr,
             Layer::Verilog,
             v_code,
-            &v.stdout_utf8(),
-            &v.stderr_utf8(),
+            &v.stdout,
+            &v.stderr,
         )?;
         v.cycles
     } else {
@@ -320,8 +320,8 @@ pub fn check_end_to_end(
 
     Ok(EndToEndReport {
         exit_code: isa_code,
-        stdout: spec_out,
-        stderr: spec_err,
+        stdout: host.fs.stdout_utf8(),
+        stderr: host.fs.stderr_utf8(),
         isa_instructions: isa.instructions,
         rtl_cycles: rtl.cycles.unwrap_or(0),
         verilog_cycles,
@@ -402,14 +402,14 @@ mod tests {
     #[test]
     fn compare_behaviour_names_the_diverging_pair() {
         // Exit-code divergence between source and ISA.
-        let f = compare_behaviour(Layer::Source, 3, "", "", Layer::Isa, 4, "", "")
+        let f = compare_behaviour(Layer::Source, 3, b"", b"", Layer::Isa, 4, b"", b"")
             .unwrap_err();
         assert!(f.is_disagreement());
         assert_eq!(f.layer(), Layer::Isa);
         assert_eq!(f.to_string(), "[isa] disagrees with [source]: exit 4 vs 3");
 
         // Stdout divergence between ISA and RTL.
-        let f = compare_behaviour(Layer::Isa, 0, "a", "", Layer::Rtl, 0, "b", "")
+        let f = compare_behaviour(Layer::Isa, 0, b"a", b"", Layer::Rtl, 0, b"b", b"")
             .unwrap_err();
         match &f {
             CheckFailure::Disagreement { spec, impl_, .. } => {
@@ -420,10 +420,21 @@ mod tests {
         }
 
         // Stderr divergence is caught too.
-        assert!(compare_behaviour(Layer::Isa, 0, "", "x", Layer::Verilog, 0, "", "y").is_err());
+        assert!(compare_behaviour(Layer::Isa, 0, b"", b"x", Layer::Verilog, 0, b"", b"y").is_err());
 
         // Agreement passes.
-        assert!(compare_behaviour(Layer::Source, 7, "o", "e", Layer::Isa, 7, "o", "e").is_ok());
+        assert!(compare_behaviour(Layer::Source, 7, b"o", b"e", Layer::Isa, 7, b"o", b"e").is_ok());
+    }
+
+    #[test]
+    fn compare_behaviour_is_byte_exact() {
+        // Both outputs are invalid UTF-8 and render to the same lossy
+        // text, yet they are different behaviours.
+        let f = compare_behaviour(Layer::Isa, 0, &[0xff], b"", Layer::Rtl, 0, &[0xfe], b"")
+            .unwrap_err();
+        assert!(f.is_disagreement(), "{f}");
+        assert!(compare_behaviour(Layer::Isa, 0, b"", &[0xff], Layer::Rtl, 0, b"", &[0xfe]).is_err());
+        assert!(compare_behaviour(Layer::Isa, 0, &[0xff], b"", Layer::Rtl, 0, &[0xff], b"").is_ok());
     }
 
     #[test]

@@ -6,13 +6,13 @@ use std::io::BufWriter;
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
-use ag32::{Machine, State};
-use basis::{build_image, ExitStatus, ImageError};
+use ag32::{Machine, NoTrace, RetireRing, State, Tracer};
+use basis::{build_image, ExitStatus, Finished, ImageError, SyscallTracer};
 use cakeml::{CompileError, CompiledProgram, CompilerConfig, TargetLayout};
 use obs::CycleProfiler;
 use rtl::interp::NoCycleObserver;
 use silver::env::{Latency, MemEnvConfig};
-use silver::exec::{Finished, Hooks, Plan, RunEnd, Shadow};
+use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::LockstepError;
 use silver::machine::{CircuitMachine, CycleObserver};
 use silver::snapshot::{Snapshot, SnapshotError};
@@ -232,6 +232,14 @@ impl From<SnapshotError> for StackError {
 /// What to observe during a run. Everything is off by default, and the
 /// observed entry points degrade to the plain ones when nothing is
 /// requested — observability costs nothing unless asked for.
+///
+/// On the ISA backend the retire log, the profile and the syscall
+/// trace are [`ag32::Tracer`]s on the one run loop, so an observed run
+/// executes once and honours the whole [`RunConfig`] (checkpoints and
+/// shadowing included). They see reference retires: a shadowed run's
+/// lockstep reference side, and for an unshadowed [`Engine::Jet`] run
+/// the reference interpreter, which runs it instead (theorem J: same
+/// result).
 #[derive(Debug, Default)]
 pub struct Observe {
     /// Keep the last N retired instructions in a ring (ISA backend).
@@ -338,7 +346,7 @@ impl Stack {
         rc: &RunConfig,
     ) -> Result<StackResult, StackError> {
         match backend {
-            Backend::Isa => self.run_isa(image, rc),
+            Backend::Isa => self.run_isa(image, rc, &mut NoTrace),
             Backend::Rtl | Backend::Verilog => {
                 Ok(self.run_hw(&image, backend, rc, NoCycleObserver)?.0)
             }
@@ -368,7 +376,8 @@ impl Stack {
         self.run_image_observed(&compiled, image, backend, rc, ocfg)
     }
 
-    /// [`run_image`](Stack::run_image) with observability. The compiled
+    /// [`run_image`](Stack::run_image) with observability: one run, with
+    /// the requested observers attached (see [`Observe`]). The compiled
     /// program is needed for its symbol table (profiling) and FFI names
     /// (syscall tracing). Fields of `ocfg` that do not apply to the
     /// chosen backend are ignored (e.g. `vcd` on the ISA backend).
@@ -390,43 +399,17 @@ impl Stack {
         let mut obs = Observations::default();
         let result = match backend {
             Backend::Isa => {
-                // The observers below hook the reference interpreter.
-                // Under the jet engine the observations still come from
-                // a reference pass (execution is deterministic and
-                // theorem-J-equivalent) but the *result* comes from the
-                // selected engine, so `--stats` etc. reflect it.
-                let jet_image = (rc.engine == Engine::Jet).then(|| image.clone());
-                // The syscall trace needs its own pure-`Next` pass (it
-                // watches FFI entry PCs); execution is deterministic, so
-                // a clone of the image observes the same run.
-                if ocfg.syscalls {
-                    let mut trace = basis::SyscallTrace::new();
-                    let _ = basis::run_to_halt_traced(
-                        image.clone(),
-                        &self.layout,
-                        &compiled.ffi_names,
-                        rc.fuel,
-                        &mut trace,
-                    );
-                    obs.syscalls = Some(trace);
-                }
-                let mut ring =
-                    (ocfg.retire_log > 0).then(|| ag32::RetireRing::new(ocfg.retire_log));
+                let mut ring = (ocfg.retire_log > 0).then(|| RetireRing::new(ocfg.retire_log));
                 let mut prof =
                     ocfg.profile.then(|| CycleProfiler::new(compiled.symbols.to_ranges()));
-                let r = basis::run_to_halt_observed(
-                    image,
-                    &self.layout,
-                    rc.fuel,
-                    &mut ag32::NoCoverage,
-                    &mut (&mut ring, &mut prof),
-                );
+                let mut calls = ocfg
+                    .syscalls
+                    .then(|| SyscallTracer::new(&image, &self.layout, &compiled.ffi_names));
+                let result = self.run_isa(image, rc, &mut (&mut ring, (&mut prof, &mut calls)))?;
                 obs.retire_log = ring;
                 obs.profile = prof;
-                match jet_image {
-                    Some(img) => self.run_isa(img, rc)?,
-                    None => isa_result(r),
-                }
+                obs.syscalls = calls.map(SyscallTracer::into_trace);
+                result
             }
             Backend::Rtl | Backend::Verilog => {
                 let vcd = match &ocfg.vcd {
@@ -472,7 +455,7 @@ impl Stack {
         snap: &Snapshot,
         rc: &RunConfig,
     ) -> Result<StackResult, StackError> {
-        self.run_isa(snap.restore(), rc)
+        self.run_isa(snap.restore(), rc, &mut NoTrace)
     }
 
     /// [`resume_snapshot`](Stack::resume_snapshot) straight from a
@@ -488,16 +471,22 @@ impl Stack {
 
     /// Runs a boot image or a restored checkpoint on the configured
     /// engine through the shared slice loop ([`silver::exec::run`]),
-    /// rewriting the rolling checkpoint file at every boundary. A
-    /// shadowed jet run is the lockstep itself: its result is returned
-    /// only once theorem J held over the whole execution, and a
-    /// divergence is replayed from its anchor — the last boundary, also
-    /// the last checkpoint written — to confirm it reproduces there.
-    fn run_isa(&self, start: State, rc: &RunConfig) -> Result<StackResult, StackError> {
+    /// with `tracer` seeing every reference retire and the rolling
+    /// checkpoint file rewritten at every boundary. A shadowed jet run
+    /// is the lockstep itself: its result is returned only once theorem
+    /// J held over the whole execution, and a divergence is replayed
+    /// from its anchor — the last boundary, also the last checkpoint
+    /// written — to confirm it reproduces there.
+    fn run_isa<T: Tracer>(
+        &self,
+        start: State,
+        rc: &RunConfig,
+        tracer: &mut T,
+    ) -> Result<StackResult, StackError> {
         let plan = rc.plan(&self.layout);
         let mut hooks =
             Rolling { path: rc.checkpoint.as_deref(), shadowed: plan.shadow.is_some(), anchor: None };
-        match silver::exec::run(start, &plan, &mut hooks) {
+        match silver::exec::run(start, &plan, &mut hooks, tracer) {
             RunEnd::Done(f) => Ok(f.into()),
             RunEnd::Stopped(e) => Err(StackError::Snapshot(e)),
             RunEnd::Diverged(mut fx) => {
@@ -549,7 +538,7 @@ impl Stack {
         if let Some(e) = m.error() {
             return Err(StackError::Hardware(e.clone()));
         }
-        let f = silver::exec::finished(&m, &self.layout, u64::MAX);
+        let f = basis::finished(&m, &self.layout, u64::MAX);
         let result = StackResult { cycles: Some(m.cycles()), stats: None, ..f.into() };
         Ok((result, m.into_observer()))
     }
@@ -595,16 +584,5 @@ impl From<Finished> for StackResult {
             cycles: None,
             stats: Some(f.stats),
         }
-    }
-}
-
-fn isa_result(r: basis::MachineResult) -> StackResult {
-    StackResult {
-        exit: r.exit,
-        stdout: r.stdout,
-        stderr: r.stderr,
-        instructions: r.instructions,
-        cycles: None,
-        stats: Some(r.state.stats.clone()),
     }
 }

@@ -14,7 +14,7 @@
 
 use std::collections::VecDeque;
 
-use ag32::{decode, Arch, Engine, ExecStats, IoEvent, Machine, State};
+use ag32::{decode, Arch, Engine, ExecStats, IoEvent, Machine, NoTrace, State, Tracer};
 use obs::{Forensics, RegDelta};
 
 use crate::engine::Jet;
@@ -207,13 +207,14 @@ impl<B: Machine> Lockstep<B> {
         Box::new(fx)
     }
 
-    /// One lockstep retire; `false` once a divergence is recorded.
-    fn step(&mut self) -> bool {
+    /// One lockstep retire, with `tracer` observing the reference side;
+    /// `false` once a divergence is recorded.
+    fn step<T: Tracer>(&mut self, tracer: &mut T) -> bool {
         if self.tail > 0 {
             push_tail(&mut self.spec_tail, self.tail, tail_line(&self.spec));
             push_tail(&mut self.imp_tail, self.tail, tail_line(&self.imp));
         }
-        self.spec.next();
+        self.spec.next_traced(tracer);
         let note = if self.imp.run(1) == 0 {
             Some(format!("{} halted at pc {} but isa retired", self.side, hex(self.imp.pc())))
         } else if self.imp.pc() == self.spec.pc {
@@ -232,6 +233,19 @@ impl<B: Machine> Lockstep<B> {
         let deltas = arch_deltas(&self.spec.arch(), &self.imp.arch());
         self.divergence = Some(self.forensics(self.spec.instructions_retired - 1, deltas, note));
         false
+    }
+
+    /// [`Machine::run`] with `tracer` observing every reference-side
+    /// retire — the retires of the run the lockstep reports.
+    pub fn run_traced<T: Tracer>(&mut self, fuel: u64, tracer: &mut T) -> u64 {
+        let mut n = 0;
+        while n < fuel && !self.is_halted() && self.step(tracer) {
+            n += 1;
+        }
+        if n > 0 && n == fuel && !self.is_halted() {
+            self.anchor = Some(self.spec.instructions_retired);
+        }
+        n
     }
 
     /// The end-of-run verdict: the divergence the run stopped at, if
@@ -289,14 +303,7 @@ impl<B: Machine> Machine for Lockstep<B> {
     /// A call that retires its whole budget without halting or
     /// diverging ends on a boundary, which becomes the replay anchor.
     fn run(&mut self, fuel: u64) -> u64 {
-        let mut n = 0;
-        while n < fuel && !self.is_halted() && self.step() {
-            n += 1;
-        }
-        if n > 0 && n == fuel && !self.is_halted() {
-            self.anchor = Some(self.spec.instructions_retired);
-        }
-        n
+        self.run_traced(fuel, &mut NoTrace)
     }
 
     fn retired(&self) -> u64 {

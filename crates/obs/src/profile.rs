@@ -18,6 +18,7 @@
 use std::collections::HashMap;
 
 use ag32::trace::{RetireEvent, Tracer};
+use ag32::State;
 
 /// A flat PC → symbol profiler.
 #[derive(Clone, Debug)]
@@ -105,7 +106,7 @@ impl CycleProfiler {
 
 impl Tracer for CycleProfiler {
     #[inline]
-    fn retire(&mut self, ev: &RetireEvent) {
+    fn retire(&mut self, ev: &RetireEvent, _state: &State) {
         self.record_pc(ev.pc);
     }
 }

@@ -428,10 +428,10 @@ pub fn step(
 /// observability layer (waveform dumping, cycle profiling, divergence
 /// forensics) attaches to.
 ///
-/// Like `ag32::Coverage`, the default [`NoCycleObserver`] is a
-/// zero-sized no-op that monomorphises away, so
-/// [`run_observed`]/[`step_observed`] with it cost exactly what
-/// [`run`]/[`step`] do.
+/// The circuit's sibling of `ag32::Tracer`: `silver::CircuitMachine`
+/// hands every clock edge to one. The default [`NoCycleObserver`] is a
+/// zero-sized no-op that monomorphises away, so an unobserved machine
+/// costs exactly what clocking the circuit does.
 pub trait CycleObserver {
     /// Called after the clock edge of cycle `n`, with the settled state.
     fn on_cycle(&mut self, n: u64, state: &RtlState);
@@ -478,41 +478,6 @@ impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {
         self.0.on_cycle(n, state);
         self.1.on_cycle(n, state);
     }
-}
-
-/// [`step`] plus a [`CycleObserver`] seeing the post-edge state.
-///
-/// # Errors
-///
-/// Propagates any dynamic error.
-pub fn step_observed(
-    c: &Circuit,
-    env: &mut impl RtlEnv,
-    state: &mut RtlState,
-    n: u64,
-    obs: &mut impl CycleObserver,
-) -> Result<(), RtlError> {
-    step(c, env, state, n)?;
-    obs.on_cycle(n, state);
-    Ok(())
-}
-
-/// [`run`] plus a [`CycleObserver`] seeing every post-edge state.
-///
-/// # Errors
-///
-/// Propagates any dynamic error.
-pub fn run_observed(
-    c: &Circuit,
-    env: &mut impl RtlEnv,
-    state: &mut RtlState,
-    cycles: u64,
-    obs: &mut impl CycleObserver,
-) -> Result<(), RtlError> {
-    for n in 0..cycles {
-        step_observed(c, env, state, n, obs)?;
-    }
-    Ok(())
 }
 
 impl fmt::Display for RValue {

@@ -42,14 +42,14 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ag32::{Engine, Machine, State};
-use basis::{build_image, ExitStatus};
+use ag32::{Engine, Machine, NoTrace, State};
+use basis::{build_image, ExitStatus, Finished};
 use cakeml::{compile_source, CompilerConfig, TargetLayout};
 use jet::ShadowReport;
 use obs::metrics::Registry;
 use obs::trace::{chrome_trace_json, FlightRecorder, JobTrace, SpanId, SpanKind, TraceBuilder};
 use obs::Forensics;
-use silver::exec::{Finished, Hooks, Plan, RunEnd, Shadow};
+use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::snapshot::Snapshot;
 use testkit::pool::{PushError, WorkQueue, WorkerCtl, WorkerPool};
 
@@ -739,7 +739,8 @@ fn handle_job(inner: &Arc<Inner>, ctl: &WorkerCtl, mut job: Pending) {
                 every: inner.cfg.checkpoint_every,
             };
             let exec = tb.begin(SpanKind::Exec, state.instructions_retired, inner.wall_us());
-            let end = silver::exec::run(state, &plan, &mut JobHooks { inner, ctl, tb: &mut tb });
+            let mut hooks = JobHooks { inner, ctl, tb: &mut tb };
+            let end = silver::exec::run(state, &plan, &mut hooks, &mut NoTrace);
             let retired = match &end {
                 RunEnd::Done(f) => f.instructions,
                 RunEnd::Stopped(snap) => snap.retired(),

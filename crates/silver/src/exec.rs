@@ -1,15 +1,24 @@
 //! The one ISA-level run loop: every engine, every caller.
 //!
-//! `silver-stack` (with or without a rolling checkpoint file) and the
-//! execution service (with tracing, stop polling and migration) run
-//! programs the same way: in checkpoint-sized slices over an
-//! [`ag32::Machine`], calling back at each slice boundary, and
-//! classifying the end state with [`basis::classify_exit`]. [`run`] is
-//! that loop, and the only place that turns an [`Engine`] choice into
-//! a machine — the reference interpreter, the jet engine, or the
-//! [`Lockstep`] of both when the run is shadowed. A new engine is a new
-//! `Machine` impl plus one match arm here; checkpointing, shadowing,
-//! migration and serving come with it.
+//! `silver-stack` (with or without a rolling checkpoint file, with or
+//! without observers) and the execution service (with tracing, stop
+//! polling and migration) run programs the same way: in
+//! checkpoint-sized slices over an [`ag32::Machine`], calling back at
+//! each slice boundary, and classifying the end state with
+//! [`basis::finished`]. [`run`] is that loop, and the only place that
+//! turns an [`Engine`] choice into a machine — the reference
+//! interpreter, the jet engine, or the [`Lockstep`] of both when the
+//! run is shadowed. A new engine is a new `Machine` impl plus one match
+//! arm here; checkpointing, shadowing, migration and serving come with
+//! it.
+//!
+//! An [`ag32::Tracer`] passed to [`run`] sees the run's reference
+//! retires, so an observed run executes once: the reference
+//! interpreter's own retires, or the lockstep's reference side when
+//! shadowed. Jet retires translated blocks, not decoded events, so an
+//! unshadowed jet run with an active tracer runs on the reference
+//! interpreter instead — by theorem J the result is the same. Callers
+//! without observers pass [`NoTrace`](ag32::NoTrace).
 //!
 //! Fuel is total retires from boot: a state restored from a checkpoint
 //! taken at retire `C` runs `fuel − C` more, so a resumed run
@@ -20,8 +29,8 @@
 
 use std::ops::ControlFlow;
 
-use ag32::{Engine, ExecStats, Machine, State};
-use basis::{classify_exit, extract_streams, ExitStatus, TargetLayout};
+use ag32::{Engine, Machine, State, Tracer};
+use basis::{finished, Finished, TargetLayout};
 use jet::{Jet, Lockstep, ShadowReport};
 use obs::Forensics;
 
@@ -50,21 +59,6 @@ pub struct Plan<'a> {
     /// Slice length in retires: the hooks see a boundary after every
     /// full slice that did not halt.
     pub every: u64,
-}
-
-/// A run that reached its end: halt, wedge or fuel exhaustion.
-#[derive(Clone, Debug)]
-pub struct Finished {
-    /// Exit classification.
-    pub exit: ExitStatus,
-    /// Standard output bytes.
-    pub stdout: Vec<u8>,
-    /// Standard error bytes.
-    pub stderr: Vec<u8>,
-    /// Instructions retired since boot.
-    pub instructions: u64,
-    /// Per-opcode retire counters.
-    pub stats: ExecStats,
 }
 
 /// How a run ended.
@@ -108,12 +102,18 @@ pub trait Hooks {
 }
 
 /// Runs `start` — a boot image or a restored checkpoint — as `plan`
-/// says.
-pub fn run<H: Hooks>(start: State, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::Stop> {
+/// says, with `tracer` seeing every reference retire.
+pub fn run<H: Hooks, T: Tracer>(
+    start: State,
+    plan: &Plan<'_>,
+    hooks: &mut H,
+    tracer: &mut T,
+) -> RunEnd<H::Stop> {
     match (plan.shadow, plan.engine) {
         (Some(sh), _) => {
             let mut ls = Lockstep::new(&start, sh.sample, sh.fault_xor);
-            if let ControlFlow::Break(stop) = drive(&mut ls, plan, hooks) {
+            let sliced = drive(&mut ls, plan, hooks, |ls, n| ls.run_traced(n, tracer));
+            if let ControlFlow::Break(stop) = sliced {
                 return RunEnd::Stopped(stop);
             }
             match hooks.shadow_check(|| ls.finish()) {
@@ -121,20 +121,32 @@ pub fn run<H: Hooks>(start: State, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::
                 Err(fx) => RunEnd::Diverged(fx),
             }
         }
-        (None, Engine::Ref) => complete(start, plan, hooks),
-        (None, Engine::Jet) => complete(Jet::from_state(&start), plan, hooks),
+        (None, Engine::Jet) if !T::ACTIVE => {
+            complete(Jet::from_state(&start), plan, hooks, Machine::run)
+        }
+        (None, _) => complete(start, plan, hooks, |s, n| s.run_traced(n, tracer)),
     }
 }
 
-fn complete<M: Machine, H: Hooks>(mut m: M, plan: &Plan<'_>, hooks: &mut H) -> RunEnd<H::Stop> {
-    match drive(&mut m, plan, hooks) {
+fn complete<M: Machine, H: Hooks>(
+    mut m: M,
+    plan: &Plan<'_>,
+    hooks: &mut H,
+    step: impl FnMut(&mut M, u64) -> u64,
+) -> RunEnd<H::Stop> {
+    match drive(&mut m, plan, hooks, step) {
         ControlFlow::Break(stop) => RunEnd::Stopped(stop),
         ControlFlow::Continue(()) => RunEnd::Done(finished(&m, plan.layout, plan.fuel)),
     }
 }
 
-/// The slice loop.
-fn drive<M: Machine, H: Hooks>(m: &mut M, plan: &Plan<'_>, hooks: &mut H) -> ControlFlow<H::Stop> {
+/// The slice loop; `step` runs one slice of `m`.
+fn drive<M: Machine, H: Hooks>(
+    m: &mut M,
+    plan: &Plan<'_>,
+    hooks: &mut H,
+    mut step: impl FnMut(&mut M, u64) -> u64,
+) -> ControlFlow<H::Stop> {
     let every = plan.every.max(1);
     loop {
         let remaining = plan.fuel.saturating_sub(m.retired());
@@ -143,25 +155,11 @@ fn drive<M: Machine, H: Hooks>(m: &mut M, plan: &Plan<'_>, hooks: &mut H) -> Con
         }
         let chunk = every.min(remaining);
         let before = m.retired();
-        let n = m.run(chunk);
+        let n = step(m, chunk);
         hooks.slice(before, m.retired());
         if n < chunk || m.is_halted() {
             return ControlFlow::Continue(());
         }
         hooks.boundary(m)?;
-    }
-}
-
-/// The end of a run of `m` under a retire budget of `fuel` from boot:
-/// the exit classification and output streams every machine shares —
-/// ISA engines here, and the circuit backends of the stack.
-pub fn finished<M: Machine>(m: &M, layout: &TargetLayout, fuel: u64) -> Finished {
-    let (stdout, stderr) = extract_streams(m.io_events());
-    Finished {
-        exit: classify_exit(m, layout, m.retired() < fuel),
-        stdout,
-        stderr,
-        instructions: m.retired(),
-        stats: m.stats().clone(),
     }
 }

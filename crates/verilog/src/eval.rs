@@ -551,41 +551,6 @@ impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {
     }
 }
 
-/// [`step`] plus a [`CycleObserver`] seeing the post-edge state.
-///
-/// # Errors
-///
-/// Propagates any evaluation or input-driving error.
-pub fn step_observed(
-    module: &Module,
-    env: &mut impl Env,
-    state: &mut VarState,
-    c: u64,
-    obs: &mut impl CycleObserver,
-) -> Result<(), VError> {
-    step(module, env, state, c)?;
-    obs.on_cycle(c, state);
-    Ok(())
-}
-
-/// [`run`] plus a [`CycleObserver`] seeing every post-edge state.
-///
-/// # Errors
-///
-/// Propagates any evaluation or input-driving error.
-pub fn run_observed(
-    module: &Module,
-    mut env: impl Env,
-    mut init: VarState,
-    cycles: u64,
-    obs: &mut impl CycleObserver,
-) -> Result<VarState, VError> {
-    for c in 0..cycles {
-        step_observed(module, &mut env, &mut init, c, obs)?;
-    }
-    Ok(init)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

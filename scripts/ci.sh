@@ -82,6 +82,19 @@ grep -q 'retire log' "$obs_scratch/err.txt"
 grep -q 'syscall trace' "$obs_scratch/err.txt"
 grep -Eq 'write\(conf=' "$obs_scratch/err.txt"
 grep -Eq 'rt_|main' "$obs_scratch/isa.folded"
+# The observers are tracers on the one run loop, so a shadowed jet run
+# observes the same retires and calls (its lockstep's reference side)
+# and profiles the same way as the reference engine.
+./target/release/silverc "$obs_scratch/sort.cml" \
+    --stdin "$obs_scratch/in.txt" --engine jet --shadow \
+    --trace --trace-syscalls --profile "$obs_scratch/isa_jet.folded" \
+    > "$obs_scratch/out_obs_jet.txt" 2> "$obs_scratch/err_obs_jet.txt"
+cmp -s "$obs_scratch/out.txt" "$obs_scratch/out_obs_jet.txt"
+observations() {
+    grep -E '^silverc: (syscall trace|retire log)|^silverc:   #' "$1"
+}
+cmp -s <(observations "$obs_scratch/err.txt") <(observations "$obs_scratch/err_obs_jet.txt")
+cmp -s "$obs_scratch/isa.folded" "$obs_scratch/isa_jet.folded"
 # Traced lockstep: RTL backend with a VCD dump and a cycle profile.
 ./target/release/silverc "$obs_scratch/sort.cml" \
     --stdin "$obs_scratch/in.txt" --backend rtl \
@@ -271,7 +284,12 @@ echo "== observability hygiene guard =="
 grep -q 'pub struct CircuitMachine<O = NoCycleObserver>' crates/silver/src/machine.rs
 grep -q 'CircuitMachine::with_circuit(silver_cpu(), initial, cfg, max_cycles, NoCycleObserver)' \
     crates/silver/src/machine.rs
-grep -q 'self.run_traced(fuel, cov, &mut NoTrace)' crates/ag32/src/state.rs
+grep -q 'self.run_traced(fuel, &mut NoTrace)' crates/ag32/src/state.rs
+grep -q 'run_to_halt_observed(state, layout, fuel, &mut NoTrace)' crates/basis/src/machine.rs
+# Run-loop callers without observers hand it the no-op tracer.
+grep -q 'Backend::Isa => self.run_isa(image, rc, &mut NoTrace)' crates/core/src/stack.rs
+grep -q 'self.run_isa(snap.restore(), rc, &mut NoTrace)' crates/core/src/stack.rs
+grep -q 'silver::exec::run(state, &plan, &mut hooks, &mut NoTrace)' crates/service/src/server.rs
 grep -q 'run_with_oracle_traced(state, layout, ffi_names, fs, fuel, None)' \
     crates/basis/src/machine.rs
 grep -q 'if ocfg.is_off()' crates/core/src/stack.rs
@@ -315,6 +333,13 @@ if grep -rnE 'enum (ServeEngine|SnapEngine)\b|fn run_(ref|jet)_' \
     echo "a per-engine enum or run loop reappeared; use ag32::Engine / silver::exec::run" >&2
     exit 1
 fi
+# One per-retire observer (ag32::Tracer) on that loop: the second
+# observer trait and the separate syscall-tracing pass must not return.
+if grep -rnE 'trait Coverage\b|fn run_to_halt_traced\b|fn (run|next)_with\b' \
+    --include='*.rs' crates tests examples; then
+    echo "a second per-retire observer or run pass reappeared; use an ag32::Tracer on silver::exec::run" >&2
+    exit 1
+fi
 # The circuit level has one machine too: only silver::machine (and the
 # rtl/verilog crates themselves) clock the circuit or its Verilog, and
 # only crates/ag32 decides which jumps halt (ag32::halts).
@@ -329,7 +354,7 @@ if grep -rnE 'Func::Snd *=>|func: *(\w+::)*Func::Snd, *a, *\.\.' --include='*.rs
     echo "a halt predicate outside crates/ag32; use ag32::halts" >&2
     exit 1
 fi
-echo "ok: one run loop, one engine enum, one exit predicate, one circuit machine, one halt predicate"
+echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one halt predicate"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read

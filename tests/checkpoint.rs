@@ -8,7 +8,9 @@
 
 use std::path::PathBuf;
 
-use silver_stack::{apps, Backend, Engine, ExitStatus, RunConfig, Snapshot, Stack, StackError};
+use silver_stack::{
+    apps, Backend, Engine, ExitStatus, Observe, RunConfig, Snapshot, Stack, StackError,
+};
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("silver-ckpt-{}-{name}", std::process::id()));
@@ -123,5 +125,35 @@ fn resume_from_corrupt_file_is_a_typed_error() {
         Err(StackError::Snapshot(_)) => {}
         other => panic!("expected StackError::Snapshot, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn observed_runs_write_checkpoints_that_resume_like_unobserved_runs() {
+    let stack = Stack::new();
+    let compiled = stack.compile(apps::SORT).expect("sort compiles");
+    let image = stack.load(&compiled, &["sort"], b"pear\napple\nmango\n").expect("image loads");
+    let plain = stack
+        .run_image(image.clone(), Backend::Isa, &engine_rc(Engine::Ref))
+        .expect("unobserved run");
+
+    let dir = scratch("observed");
+    let path = dir.join("observed.snap");
+    let ocfg = Observe { retire_log: 8, syscalls: true, ..Observe::default() };
+    let rc = RunConfig {
+        checkpoint: Some(path.clone()),
+        checkpoint_interval: Some(plain.instructions / 3),
+        ..engine_rc(Engine::Ref)
+    };
+    let (observed, obs) = stack
+        .run_image_observed(&compiled, image, Backend::Isa, &rc, &ocfg)
+        .expect("observed run");
+    assert_eq!(outcome(&observed), outcome(&plain), "observing changes nothing");
+    assert!(obs.retire_log.is_some() && obs.syscalls.is_some());
+
+    let snap = Snapshot::read_from(&path).expect("the observed run wrote its checkpoint");
+    assert!(snap.retired() > 0 && snap.retired() < plain.instructions);
+    let resumed = stack.resume_snapshot(&snap, &engine_rc(Engine::Ref)).expect("resume succeeds");
+    assert_eq!(outcome(&resumed), outcome(&plain));
     let _ = std::fs::remove_dir_all(&dir);
 }
