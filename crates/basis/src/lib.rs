@@ -17,8 +17,8 @@
 //! * [`machine`] — `machine_sem` with the interference oracle, pure-`Next`
 //!   execution, the I/O-event stream extraction the board-side handler
 //!   performs, and the one run-result record ([`Finished`]);
-//! * [`trace`] — system-call traces, from the oracle or, as an
-//!   [`ag32::Tracer`], from a pure-`Next` run.
+//! * [`trace`] — system-call traces, recorded by an [`ag32::Tracer`]
+//!   from a pure-`Next` run.
 //!
 //! The §6 obligation — that oracle-stepped and machine-code execution
 //! agree — is checked differentially in `tests/ffi_equiv.rs`.
@@ -54,7 +54,7 @@ pub use fs::FsState;
 pub use image::{build_image, ImageError};
 pub use machine::{
     classify_exit, extract_streams, finished, run_to_halt, run_to_halt_observed, run_with_oracle,
-    run_with_oracle_traced, ExitStatus, Finished,
+    ExitStatus, Finished,
 };
 pub use oracle::{call_ffi, BasisHost, FfiOutcome};
-pub use trace::{call_ffi_traced, fd_summary, SyscallEvent, SyscallTrace, SyscallTracer};
+pub use trace::{fd_summary, SyscallEvent, SyscallTrace, SyscallTracer};

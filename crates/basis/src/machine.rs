@@ -27,7 +27,6 @@ use cakeml::TargetLayout;
 use crate::fs::FsState;
 use crate::image::EXIT_UNSET;
 use crate::oracle::{call_ffi, FfiOutcome};
-use crate::trace::SyscallTrace;
 
 /// How a machine-level run ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -156,27 +155,11 @@ pub fn run_to_halt_observed<T: Tracer>(
 /// system-call machine code.
 #[must_use]
 pub fn run_with_oracle(
-    state: State,
-    layout: &TargetLayout,
-    ffi_names: &[String],
-    fs: FsState,
-    fuel: u64,
-) -> Finished {
-    run_with_oracle_traced(state, layout, ffi_names, fs, fuel, None)
-}
-
-/// [`run_with_oracle`] with optional system-call tracing: when `trace`
-/// is `Some`, every serviced FFI call appends a
-/// [`SyscallEvent`](crate::trace::SyscallEvent). With `None` no event is
-/// ever constructed — the untraced path stays allocation-free.
-#[must_use]
-pub fn run_with_oracle_traced(
     mut state: State,
     layout: &TargetLayout,
     ffi_names: &[String],
     mut fs: FsState,
     fuel: u64,
-    mut trace: Option<&mut SyscallTrace>,
 ) -> Finished {
     // Entry addresses from the jump table (the image builder wrote them).
     let entries: Vec<(u32, String)> = ffi_names
@@ -198,13 +181,7 @@ pub fn run_with_oracle_traced(
             // apply the oracle, write back, return to the caller.
             let conf = state.mem.read_bytes(state.regs[1], state.regs[2]);
             let mut bytes = state.mem.read_bytes(state.regs[3], state.regs[4]);
-            let outcome = match trace.as_deref_mut() {
-                Some(t) => {
-                    crate::trace::call_ffi_traced(&mut fs, name, &conf, &mut bytes, state.pc, t)
-                }
-                None => call_ffi(&mut fs, name, &conf, &mut bytes),
-            };
-            match outcome {
+            match call_ffi(&mut fs, name, &conf, &mut bytes) {
                 FfiOutcome::Return => {
                     state.mem.write_bytes(state.regs[3], &bytes);
                     state.pc = state.regs[62];

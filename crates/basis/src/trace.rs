@@ -3,13 +3,11 @@
 //! A [`SyscallTrace`] records one [`SyscallEvent`] per FFI call: the
 //! call name, its configuration string, the byte-array size, the
 //! post-call status byte, a short result summary, and the descriptor
-//! state after the call. Two producers fill it: [`call_ffi_traced`],
-//! where the `basis_ffi` oracle services calls (`machine_sem`), and
-//! [`SyscallTracer`], an [`ag32::Tracer`] watching a pure-`Next` run
-//! execute the real system-call machine code — the run it observes is
-//! the run that produces the result. Tracing is opt-in at every call
-//! site (the untraced entry points never construct events), so the
-//! differential harnesses pay nothing for it.
+//! state after the call. [`SyscallTracer`], an [`ag32::Tracer`], fills
+//! it while a pure-`Next` run executes the real system-call machine
+//! code — the run it observes is the run that produces the result.
+//! Tracing is opt-in at every call site (the untraced entry points never
+//! construct events), so the differential harnesses pay nothing for it.
 
 use std::fmt::Write as _;
 
@@ -17,15 +15,13 @@ use ag32::{RetireEvent, State, Tracer};
 use cakeml::TargetLayout;
 
 use crate::fs::FsState;
-use crate::oracle::FfiOutcome;
 
 /// One traced FFI call.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyscallEvent {
     /// Zero-based call index.
     pub seq: u64,
-    /// PC of the FFI entry point (0 for interpreter/oracle-level runs
-    /// that never touch machine code).
+    /// PC of the FFI entry point the machine jumped to.
     pub pc: u32,
     /// Call name (e.g. `write`, `read`, `exit`).
     pub name: String,
@@ -36,7 +32,8 @@ pub struct SyscallEvent {
     /// `bytes[0]` after the call, when the array is non-empty — the
     /// protocol's status byte (0 = ok, 1 = fail for most calls).
     pub status: Option<u8>,
-    /// How the call ended: `return`, `exit(c)`, or `failed`.
+    /// How the call was serviced: `machine` (its system-call code ran
+    /// on the machine).
     pub outcome: String,
     /// Descriptor state after the call (see [`fd_summary`]).
     pub fds: String,
@@ -44,7 +41,7 @@ pub struct SyscallEvent {
 
 impl SyscallEvent {
     /// One-line rendition:
-    /// `#3 write(conf="1", bytes=21) -> return status 0 | stdin@5/11`.
+    /// `#3 write(conf="1", bytes=21) -> machine status 0 | stdin@5/11`.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!(
@@ -117,38 +114,6 @@ pub fn fd_summary(fs: &FsState) -> String {
         );
     }
     out
-}
-
-fn outcome_str(o: &FfiOutcome) -> String {
-    match o {
-        FfiOutcome::Return => "return".to_string(),
-        FfiOutcome::Exit(c) => format!("exit({c})"),
-        FfiOutcome::Failed => "failed".to_string(),
-    }
-}
-
-/// [`call_ffi`](crate::oracle::call_ffi) with tracing: services the
-/// call, then appends a [`SyscallEvent`] describing it to `trace`.
-pub fn call_ffi_traced(
-    fs: &mut FsState,
-    name: &str,
-    conf: &[u8],
-    bytes: &mut [u8],
-    pc: u32,
-    trace: &mut SyscallTrace,
-) -> FfiOutcome {
-    let outcome = crate::oracle::call_ffi(fs, name, conf, bytes);
-    trace.events.push(SyscallEvent {
-        seq: trace.events.len() as u64,
-        pc,
-        name: name.to_string(),
-        conf: String::from_utf8_lossy(conf).into_owned(),
-        bytes_len: bytes.len(),
-        status: bytes.first().copied(),
-        outcome: outcome_str(&outcome),
-        fds: fd_summary(fs),
-    });
-    outcome
 }
 
 /// An FFI call the machine entered and has not returned from, with the
@@ -265,23 +230,6 @@ impl Tracer for SyscallTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn traced_calls_record_protocol_and_fd_state() {
-        let mut fs = FsState::stdin_only(&["prog"], b"hello");
-        let mut trace = SyscallTrace::new();
-        let mut bytes = vec![9, 0, 3, b'a', b'b', b'c'];
-        let out = call_ffi_traced(&mut fs, "write", b"1", &mut bytes, 0x100, &mut trace);
-        assert_eq!(out, FfiOutcome::Return);
-        let mut rd = vec![0, 2, 0, 0, 0];
-        call_ffi_traced(&mut fs, "read", b"0", &mut rd, 0x104, &mut trace);
-        assert_eq!(trace.len(), 2);
-        let text = trace.render();
-        assert!(text.contains("#0 write(conf=\"1\", bytes=6) -> return status 0"), "{text}");
-        assert!(text.contains("#1 read"), "{text}");
-        assert!(text.contains("stdin@2/5"), "read moved the cursor: {text}");
-        assert_eq!(fs.stdout_utf8(), "abc");
-    }
 
     #[test]
     fn fd_summary_lists_descriptors() {

@@ -16,13 +16,14 @@ use cakeml::{compile_source, frontend, run_program, CompilerConfig, TargetLayout
 
 struct Agreement {
     exit_code: u8,
-    stdout: String,
-    stderr: String,
+    stdout: Vec<u8>,
+    stderr: Vec<u8>,
     machine_instructions: u64,
 }
 
 /// Runs `src` all three ways with the given command line and stdin, and
-/// asserts pairwise agreement.
+/// asserts pairwise agreement — byte for byte, so output that is not
+/// valid UTF-8 must match exactly too.
 fn check_agreement(src: &str, args: &[&str], stdin: &[u8]) -> Agreement {
     let layout = TargetLayout::default();
     let cfg = CompilerConfig::default();
@@ -46,7 +47,7 @@ fn check_agreement(src: &str, args: &[&str], stdin: &[u8]) -> Agreement {
     // 3. Pure Next through the real system-call code.
     let machine_run = run_to_halt(image, &layout, 2_000_000_000);
 
-    let (interp_out, interp_err) = (host.fs.stdout_utf8(), host.fs.stderr_utf8());
+    let (interp_out, interp_err) = (host.fs.stdout, host.fs.stderr);
     assert_eq!(
         oracle_run.exit,
         ExitStatus::Exited(interp.exit_code),
@@ -57,10 +58,10 @@ fn check_agreement(src: &str, args: &[&str], stdin: &[u8]) -> Agreement {
         ExitStatus::Exited(interp.exit_code),
         "machine exit differs from interpreter"
     );
-    assert_eq!(oracle_run.stdout_utf8(), interp_out, "oracle stdout");
-    assert_eq!(machine_run.stdout_utf8(), interp_out, "machine stdout");
-    assert_eq!(oracle_run.stderr_utf8(), interp_err, "oracle stderr");
-    assert_eq!(machine_run.stderr_utf8(), interp_err, "machine stderr");
+    assert_eq!(oracle_run.stdout, interp_out, "oracle stdout");
+    assert_eq!(machine_run.stdout, interp_out, "machine stdout");
+    assert_eq!(oracle_run.stderr, interp_err, "oracle stderr");
+    assert_eq!(machine_run.stderr, interp_err, "machine stderr");
     Agreement {
         exit_code: interp.exit_code,
         stdout: interp_out,
@@ -72,7 +73,7 @@ fn check_agreement(src: &str, args: &[&str], stdin: &[u8]) -> Agreement {
 #[test]
 fn hello_world_agrees() {
     let a = check_agreement("val _ = print \"hello world\\n\";", &["hello"], b"");
-    assert_eq!(a.stdout, "hello world\n");
+    assert_eq!(a.stdout, b"hello world\n");
     assert_eq!(a.exit_code, 0);
 }
 
@@ -85,15 +86,15 @@ fn stderr_stream_is_separate() {
         &["p"],
         b"",
     );
-    assert_eq!(a.stdout, "to out!");
-    assert_eq!(a.stderr, "to err");
+    assert_eq!(a.stdout, b"to out!");
+    assert_eq!(a.stderr, b"to err");
 }
 
 #[test]
 fn echo_stdin_to_stdout() {
     let input = b"line one\nline two\nand a third";
     let a = check_agreement("val _ = print (read_all ());", &["cat"], input);
-    assert_eq!(a.stdout.as_bytes(), input);
+    assert_eq!(a.stdout, input);
 }
 
 #[test]
@@ -101,7 +102,7 @@ fn reads_cross_chunk_boundaries() {
     // Bigger than the 16000-byte read chunk in the prelude.
     let input: Vec<u8> = (0..40_000u32).map(|i| b'a' + (i % 26) as u8).collect();
     let a = check_agreement("val _ = print (read_all ());", &["cat"], &input);
-    assert_eq!(a.stdout.as_bytes(), &input[..]);
+    assert_eq!(a.stdout, input);
 }
 
 #[test]
@@ -112,7 +113,7 @@ fn command_line_arguments_agree() {
         &["prog", "first", "second", "third-arg"],
         b"",
     );
-    assert_eq!(a.stdout, "4 prog first second third-arg");
+    assert_eq!(a.stdout, b"4 prog first second third-arg");
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn exit_codes_propagate() {
         b"",
     );
     assert_eq!(a.exit_code, 42);
-    assert_eq!(a.stdout, "before");
+    assert_eq!(a.stdout, b"before");
 }
 
 #[test]
@@ -144,7 +145,7 @@ fn crash_exit_codes_agree() {
     let image = build_image(&compiled, &["p"], b"").unwrap();
     let run = run_to_halt(image, &layout, 100_000_000);
     assert_eq!(run.exit, ExitStatus::Exited(cakeml::ast::EXIT_DIV));
-    assert_eq!(run.stdout_utf8(), "pre");
+    assert_eq!(run.stdout, b"pre");
 }
 
 #[test]
@@ -159,7 +160,7 @@ fn open_in_fails_on_fileless_machine() {
         &["p"],
         b"",
     );
-    assert_eq!(a.stdout, "no file");
+    assert_eq!(a.stdout, b"no file");
 }
 
 #[test]
@@ -174,7 +175,7 @@ fn interleaved_reads_and_writes() {
         &["p"],
         b"aaaaabbbbbcccccddddd",
     );
-    assert_eq!(a.stdout, "[aaaaa][bbbbb][ccccc][ddddd]");
+    assert_eq!(a.stdout, b"[aaaaa][bbbbb][ccccc][ddddd]");
 }
 
 #[test]
@@ -189,7 +190,7 @@ fn large_output_chunks_correctly() {
         b"",
     );
     assert_eq!(a.stdout.len(), 70_000);
-    assert!(a.stdout.starts_with("0123456789"));
+    assert!(a.stdout.starts_with(b"0123456789"));
 }
 
 #[test]
@@ -209,7 +210,7 @@ fn wc_style_pipeline_agrees() {
         &["wc"],
         b"the quick  brown\n fox jumps\tover the lazy dog\n",
     );
-    assert_eq!(a.stdout, "9\n");
+    assert_eq!(a.stdout, b"9\n");
 }
 
 #[test]

@@ -2,11 +2,13 @@
 //! §4.2. The implementation stalls on every fetch, load and store, so
 //! clock-cycles-per-instruction grows linearly with the DRAM response
 //! latency; this bench prints the measured curve and times one point.
+//! Every point is a theorem-(9) lockstep (`silver::check_lockstep` over
+//! the Silver CPU), so the curve is measured on a re-verified circuit.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Instr, Reg, Ri, State};
+use ag32::{Func, Instr, NoTrace, Reg, Ri, State};
 use silver::env::{Latency, MemEnvConfig};
-use silver::lockstep::run_lockstep;
+use silver::{check_lockstep, silver_cpu};
 use testkit::bench::Bench;
 
 /// A memory-heavy loop: word store + load per iteration.
@@ -31,8 +33,9 @@ fn main() {
     eprintln!("latency  cycles  instructions  CPI");
     for lat in [0u32, 1, 2, 4, 8] {
         let cfg = MemEnvConfig { mem_latency: Latency::Fixed(lat), ..MemEnvConfig::default() };
-        let rep = run_lockstep(&memory_program(), 100_000, cfg, 50_000_000)
-            .expect("lockstep also re-verifies theorem 9 per latency");
+        let rep =
+            check_lockstep(silver_cpu(), &memory_program(), 100_000, cfg, 50_000_000, &mut NoTrace)
+                .expect("lockstep also re-verifies theorem 9 per latency");
         eprintln!(
             "{lat:>7}  {:>6}  {:>12}  {:.2}",
             rep.cycles,
@@ -44,7 +47,9 @@ fn main() {
     let mut b = Bench::new("mem_latency").sample_size(10);
     b.bench("rtl_mem_program_latency2", || {
         let cfg = MemEnvConfig { mem_latency: Latency::Fixed(2), ..MemEnvConfig::default() };
-        run_lockstep(&memory_program(), 100_000, cfg, 50_000_000).unwrap().cycles
+        check_lockstep(silver_cpu(), &memory_program(), 100_000, cfg, 50_000_000, &mut NoTrace)
+            .unwrap()
+            .cycles
     });
     b.finish();
 }

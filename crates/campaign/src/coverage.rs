@@ -8,7 +8,7 @@
 //! exactly when its snap adds something to the global set
 //! (the AFL "keep if new coverage" policy).
 
-use ag32::{EdgeSet, ExecStats, Opcode};
+use ag32::{EdgeSet, ExecStats, Opcode, RetireEvent, State, Tracer};
 use cakeml::FeatureSet;
 
 /// Coverage observed while running one case.
@@ -34,6 +34,15 @@ impl CovSnap {
     #[must_use]
     pub fn new() -> Self {
         CovSnap { stats: ExecStats::new(), edges: EdgeSet::new(), features: FeatureSet::new() }
+    }
+}
+
+/// Collects both ISA-level signals from one observed run: the PC edge
+/// and the opcode of every retire.
+impl Tracer for CovSnap {
+    fn retire(&mut self, ev: &RetireEvent, state: &State) {
+        self.edges.retire(ev, state);
+        self.stats.opcode_retired[Opcode::of(&ev.instr) as usize] += 1;
     }
 }
 

@@ -22,7 +22,7 @@
 
 use std::ops::ControlFlow;
 
-use ag32::Machine as _;
+use ag32::{Machine as _, NoTrace};
 use basis::{build_image, run_to_halt_observed, run_with_oracle, BasisHost, ExitStatus, FsState};
 use cakeml::{
     compile_source, frontend, program_features, run_program, CompilerConfig, NoFfi, Stop,
@@ -30,6 +30,7 @@ use cakeml::{
 };
 use silver::env::{Latency, MemEnvConfig};
 use silver::exec::{Hooks, Plan, RunEnd, Shadow};
+use silver::silver_cpu;
 use testkit::prop::Ctx;
 
 use crate::coverage::CovSnap;
@@ -273,14 +274,19 @@ impl Target for LockstepTarget {
             seed: ctx.draw(u64::MAX),
         };
 
-        // ISA-side coverage run.
+        // Coverage comes from the lockstep's reference side: the ISA
+        // run the relation checks, with the identity accelerator the
+        // generated programs already use.
         let mut cov = CovSnap::new();
-        let mut isa = state.clone();
-        isa.run_traced(max_instructions, &mut cov.edges);
-        cov.stats = isa.stats.clone();
-
         let max_cycles = max_instructions * 64 + 10_000;
-        let verdict = silver::run_lockstep(&state, max_instructions, cfg.clone(), max_cycles);
+        let verdict = silver::check_lockstep(
+            silver_cpu(),
+            &state,
+            max_instructions,
+            cfg.clone(),
+            max_cycles,
+            &mut cov,
+        );
         let mut fx = match verdict {
             Ok(_) => return CaseOutcome::pass(cov),
             Err(fx) => fx,
@@ -298,7 +304,14 @@ impl Target for LockstepTarget {
         if let Some(anchor) = anchor {
             let mut pre = state.clone();
             pre.run(anchor);
-            let replay = silver::run_lockstep(&pre, max_instructions - anchor, cfg, max_cycles);
+            let replay = silver::check_lockstep(
+                silver_cpu(),
+                &pre,
+                max_instructions - anchor,
+                cfg,
+                max_cycles,
+                &mut NoTrace,
+            );
             fx.replay_anchor = Some(anchor);
             fx.notes.push(format!(
                 "checkpoint-anchored replay from retire {anchor}: {} (saved {anchor} boot retires)",
@@ -460,15 +473,12 @@ impl Target for SnapTarget {
         let state = gen::isa_state(ctx);
         let fuel: u64 = ctx.gen_range(50u64..=2000);
 
-        // ISA-side coverage run.
+        // Uninterrupted reference run: the crash-resume baseline, and
+        // the case's coverage.
         let mut cov = CovSnap::new();
-        let mut isa = state.clone();
-        isa.run_traced(fuel, &mut cov.edges);
-        cov.stats = isa.stats.clone();
-
-        // Uninterrupted reference run: the crash-resume baseline.
         let mut base = state.clone();
-        base.run(fuel);
+        base.run_traced(fuel, &mut cov.edges);
+        cov.stats = base.stats.clone();
         let total = base.instructions_retired;
 
         // Kill point: an arbitrary retire count within the run.

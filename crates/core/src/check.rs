@@ -13,9 +13,10 @@
 
 use std::fmt;
 
+use ag32::NoTrace;
 use basis::{BasisHost, ExitStatus, FsState};
 use cakeml::frontend;
-use silver::lockstep::run_lockstep;
+use silver::{check_lockstep, silver_cpu};
 
 use crate::stack::{Backend, Engine, RunConfig, Stack, StackError, StackResult};
 
@@ -305,7 +306,8 @@ pub fn check_end_to_end(
 
     // Optional theorem-(9) lockstep spot check with random latencies.
     if opts.lockstep_instructions > 0 {
-        run_lockstep(
+        check_lockstep(
+            silver_cpu(),
             &image,
             opts.lockstep_instructions,
             silver::env::MemEnvConfig {
@@ -314,6 +316,7 @@ pub fn check_end_to_end(
                 ..silver::env::MemEnvConfig::default()
             },
             opts.lockstep_instructions * 64 + 10_000,
+            &mut NoTrace,
         )
         .map_err(|e| err(Layer::Lockstep, e.to_string()))?;
     }

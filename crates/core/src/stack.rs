@@ -10,11 +10,10 @@ use ag32::{Machine, NoTrace, RetireRing, State, Tracer};
 use basis::{build_image, ExitStatus, Finished, ImageError, SyscallTracer};
 use cakeml::{CompileError, CompiledProgram, CompilerConfig, TargetLayout};
 use obs::CycleProfiler;
-use rtl::interp::NoCycleObserver;
 use silver::env::{Latency, MemEnvConfig};
 use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::LockstepError;
-use silver::machine::{CircuitMachine, CycleObserver};
+use silver::machine::{CircuitMachine, CycleObserver, NoCycleObserver};
 use silver::snapshot::{Snapshot, SnapshotError};
 use silver::trace::{PcSampler, Vcd};
 

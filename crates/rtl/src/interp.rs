@@ -424,62 +424,6 @@ pub fn step(
     cycle(c, state)
 }
 
-/// Observes the post-edge state after every clock cycle — the hook the
-/// observability layer (waveform dumping, cycle profiling, divergence
-/// forensics) attaches to.
-///
-/// The circuit's sibling of `ag32::Tracer`: `silver::CircuitMachine`
-/// hands every clock edge to one. The default [`NoCycleObserver`] is a
-/// zero-sized no-op that monomorphises away, so an unobserved machine
-/// costs exactly what clocking the circuit does.
-pub trait CycleObserver {
-    /// Called after the clock edge of cycle `n`, with the settled state.
-    fn on_cycle(&mut self, n: u64, state: &RtlState);
-}
-
-/// The no-op observer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCycleObserver;
-
-impl CycleObserver for NoCycleObserver {
-    #[inline(always)]
-    fn on_cycle(&mut self, _n: u64, _state: &RtlState) {}
-}
-
-/// Also a no-op at the Verilog level, so a run that may mirror the
-/// circuit into its generated Verilog needs only one no-op observer.
-impl verilog::eval::CycleObserver for NoCycleObserver {
-    #[inline(always)]
-    fn on_cycle(&mut self, _c: u64, _state: &verilog::eval::VarState) {}
-}
-
-impl<T: CycleObserver> CycleObserver for &mut T {
-    #[inline]
-    fn on_cycle(&mut self, n: u64, state: &RtlState) {
-        (**self).on_cycle(n, state);
-    }
-}
-
-/// An observer that may be absent (an optional VCD dump or profile).
-impl<T: CycleObserver> CycleObserver for Option<T> {
-    #[inline]
-    fn on_cycle(&mut self, n: u64, state: &RtlState) {
-        if let Some(o) = self {
-            o.on_cycle(n, state);
-        }
-    }
-}
-
-/// Fan-out: drive two observers from one run (e.g. a VCD dumper plus a
-/// cycle profiler).
-impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {
-    #[inline]
-    fn on_cycle(&mut self, n: u64, state: &RtlState) {
-        self.0.on_cycle(n, state);
-        self.1.on_cycle(n, state);
-    }
-}
-
 impl fmt::Display for RValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

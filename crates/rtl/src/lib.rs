@@ -61,5 +61,5 @@ pub mod typecheck;
 pub use ast::{Circuit, CircuitBuilder, RExpr, RProcess, RStmt, RTy};
 pub use codegen::generate;
 pub use equiv::{check_equiv, check_equiv_observed, check_equiv_random, EquivError};
-pub use interp::{CycleObserver, NoCycleObserver, RtlEnv, RtlState, RValue};
+pub use interp::{RtlEnv, RtlState, RValue};
 pub use typecheck::{check, RtlError};

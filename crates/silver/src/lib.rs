@@ -15,11 +15,15 @@
 //! * [`machine`] — the CPU circuit (optionally mirrored by its
 //!   generated Verilog) as an [`ag32::Machine`] at retire granularity:
 //!   the one place the circuit is clocked, behind the RTL and Verilog
-//!   backends and theorem (9)'s lockstep;
+//!   backends and theorem (9)'s lockstep, with one per-cycle hook
+//!   ([`machine::CycleObserver`]);
 //! * [`lockstep`] — the ISA↔implementation simulation relation of
-//!   theorem (9), run as a differential test on every retire;
-//! * [`verilog_level`] — the implementation↔Verilog correspondence of
-//!   theorem (10).
+//!   theorem (9), run as a differential test on every retire
+//!   ([`check_lockstep`]);
+//! * [`trace`] — the cycle observers (waveforms, cycle profiles), the
+//!   divergence forensics both circuit theorems report, and the
+//!   implementation↔Verilog correspondence of theorem (10)
+//!   ([`check_cpu_verilog_equiv`]).
 //!
 //! One layer down, it also hosts what every ISA engine shares:
 //! [`snapshot`] — byte-stable run checkpoints — and [`exec`], the one
@@ -33,9 +37,9 @@
 //! under a random-latency memory, and check the simulation relation:
 //!
 //! ```
-//! use ag32::{asm::Assembler, Func, Reg, Ri, State};
+//! use ag32::{asm::Assembler, Func, NoTrace, Reg, Ri, State};
 //! use silver::env::{Latency, MemEnvConfig};
-//! use silver::lockstep::run_lockstep;
+//! use silver::{check_lockstep, silver_cpu};
 //!
 //! let mut a = Assembler::new(0);
 //! a.li(Reg::new(1), 0x1234_5678);
@@ -45,7 +49,8 @@
 //! s.mem.write_bytes(0, &a.assemble()?);
 //!
 //! let cfg = MemEnvConfig { mem_latency: Latency::Random { max: 3 }, ..Default::default() };
-//! let report = run_lockstep(&s, 100, cfg, 10_000).map_err(|fx| fx.render())?;
+//! let report = check_lockstep(silver_cpu(), &s, 100, cfg, 10_000, &mut NoTrace)
+//!     .map_err(|fx| fx.render())?;
 //! assert_eq!(report.instructions, 3);
 //! assert!(report.cycles > report.instructions, "wait states cost cycles");
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -58,12 +63,10 @@ pub mod lockstep;
 pub mod machine;
 pub mod snapshot;
 pub mod trace;
-pub mod verilog_level;
 
 pub use cpu::silver_cpu;
 pub use env::{Latency, MemEnv, MemEnvConfig};
-pub use lockstep::{check_lockstep, run_lockstep, LockstepError, LockstepReport};
+pub use lockstep::{check_lockstep, LockstepError, LockstepReport};
 pub use machine::CircuitMachine;
 pub use snapshot::{Snapshot, SnapshotError};
-pub use trace::{check_cpu_verilog_equiv_forensic, ForensicConfig, PcSampler, Vcd, VcdWindow};
-pub use verilog_level::check_cpu_verilog_equiv;
+pub use trace::{check_cpu_verilog_equiv, PcSampler, Vcd, VcdWindow};

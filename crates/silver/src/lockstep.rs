@@ -9,18 +9,21 @@
 //! relation (`ag32_eq_hol_isa`) for every *n*: PC, all 64 registers,
 //! both flags, the output port and the I/O-event count after every
 //! retire, and the full memory and I/O-event traces at the end.
+//!
+//! Composed with theorem (10), the circuit↔Verilog correspondence
+//! ([`check_cpu_verilog_equiv`](crate::trace::check_cpu_verilog_equiv)),
+//! it yields the ISA↔Verilog theorem (7).
 
 use std::fmt;
 
-use ag32::{Machine, State};
+use ag32::{State, Tracer};
 use jet::Lockstep;
 use obs::Forensics;
 use rtl::{Circuit, RtlError};
 
-use crate::cpu::silver_cpu;
 use crate::env::MemEnvConfig;
 use crate::machine::CircuitMachine;
-use crate::trace::{ForensicConfig, VcdWindow};
+use crate::trace::{VcdWindow, FORENSIC_TAIL, VCD_WINDOW};
 
 /// Successful lockstep outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,53 +83,39 @@ impl From<RtlError> for LockstepError {
     }
 }
 
-/// Theorem (9) over the Silver CPU: [`check_lockstep`] with the real
-/// circuit and the default forensics.
-///
-/// # Errors
-///
-/// The first divergence, timeout or simulator failure, as a forensics
-/// report.
-pub fn run_lockstep(
-    initial: &State,
-    max_instructions: u64,
-    cfg: MemEnvConfig,
-    max_cycles: u64,
-) -> Result<LockstepReport, Box<Forensics>> {
-    let fcfg = ForensicConfig::default();
-    check_lockstep(silver_cpu(), initial, max_instructions, cfg, max_cycles, &fcfg)
-}
-
-/// Runs the ISA and `circuit` in lockstep for up to `max_instructions`
-/// retires within `max_cycles` clock cycles, comparing the
-/// architectural state after every retire (`sample = 1`) and memory and
-/// the I/O trace at the end. The ISA-side accelerator is forced to the
-/// identity function, matching the board implementation.
+/// Theorem (9): runs the ISA and `circuit` — the Silver CPU,
+/// [`silver_cpu`](crate::silver_cpu), or a fault-injected variant of it
+/// — in lockstep for up to `max_instructions` retires within
+/// `max_cycles` clock cycles, comparing the architectural state after
+/// every retire (`sample = 1`) and memory and the I/O trace at the end.
+/// The ISA-side accelerator is forced to the identity function,
+/// matching the board implementation. `tracer` observes every ISA-side
+/// retire (campaign coverage; [`ag32::NoTrace`] otherwise).
 ///
 /// On divergence the report names the divergent retire index and clock
-/// cycle, every differing field, the last `fcfg.tail` retires on both
-/// sides and a VCD window of the last `fcfg.vcd_window` cycles; a
+/// cycle, every differing field, the last [`FORENSIC_TAIL`] retires on
+/// both sides and a VCD window of the last [`VCD_WINDOW`] cycles; a
 /// timeout or simulator failure is a note on it.
 ///
 /// # Errors
 ///
 /// A boxed [`Forensics`] report for any divergence, timeout or
 /// simulator error.
-pub fn check_lockstep(
+pub fn check_lockstep<T: Tracer>(
     circuit: Circuit,
     initial: &State,
     max_instructions: u64,
     cfg: MemEnvConfig,
     max_cycles: u64,
-    fcfg: &ForensicConfig,
+    tracer: &mut T,
 ) -> Result<LockstepReport, Box<Forensics>> {
     let mut spec = initial.clone();
     spec.accel = |x| x;
-    let window = VcdWindow::new(&circuit, fcfg.vcd_window);
+    let window = VcdWindow::new(&circuit, VCD_WINDOW);
     let imp = CircuitMachine::with_circuit(circuit, initial, cfg, max_cycles, window);
     let mut ls =
-        Lockstep::over(spec, imp, 1, "t9 ISA\u{2194}RTL lockstep", "rtl").with_tail(fcfg.tail);
-    ls.run(max_instructions);
+        Lockstep::over(spec, imp, 1, "t9 ISA\u{2194}RTL lockstep", "rtl").with_tail(FORENSIC_TAIL);
+    ls.run_traced(max_instructions, tracer);
     let verdict = ls.finish();
     let imp = ls.imp();
     match verdict {

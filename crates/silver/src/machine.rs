@@ -6,13 +6,18 @@
 //! [`CircuitMachine::with_verilog`] adds the generated Verilog as a
 //! mirror fed the same inputs, with six interface signals spot-checked
 //! every cycle (the full per-cycle correspondence is theorem (10),
-//! [`crate::verilog_level`]). A simulator error, a mirror mismatch or
-//! an exhausted cycle budget is latched as a [`LockstepError`]; the
-//! machine then reports itself halted, so a run loop or lockstep stops
-//! there and the caller reads [`CircuitMachine::error`].
+//! [`check_cpu_verilog_equiv`](crate::trace::check_cpu_verilog_equiv)).
+//! A simulator error, a mirror mismatch or an exhausted cycle budget is
+//! latched as a [`LockstepError`]; the machine then reports itself
+//! halted, so a run loop or lockstep stops there and the caller reads
+//! [`CircuitMachine::error`].
+//!
+//! Every clock edge goes to the machine's [`CycleObserver`] — the
+//! circuit's sibling of [`ag32::Tracer`] — as a [`Signals`] reader of
+//! the circuit state, or of the Verilog state when a mirror runs.
 
 use ag32::{Arch, Engine, ExecStats, IoEvent, Machine, Ri, State, NUM_REGS};
-use rtl::interp::{self, NoCycleObserver, RValue, RtlEnv, RtlState};
+use rtl::interp::{self, RValue, RtlEnv, RtlState};
 use rtl::Circuit;
 use verilog::ast::{Module, ValueOrArray};
 use verilog::eval::VarState;
@@ -25,11 +30,65 @@ use crate::lockstep::LockstepError;
 /// mirror on every cycle.
 const SPOT_CHECKED: [&str; 6] = ["pc", "state", "mem_addr", "mem_valid", "data_out", "retired"];
 
-/// Observes every clock cycle of a [`CircuitMachine`]: the circuit
-/// state, or the Verilog state when the machine runs a mirror.
-pub trait CycleObserver: interp::CycleObserver + verilog::eval::CycleObserver {}
+/// A clocked state read signal by signal: the circuit's, or its
+/// generated Verilog's.
+pub trait Signals {
+    /// The scalar signal `name` (`0` when absent).
+    fn scalar(&self, name: &str) -> u64;
+}
 
-impl<T: interp::CycleObserver + verilog::eval::CycleObserver> CycleObserver for T {}
+impl Signals for RtlState {
+    fn scalar(&self, name: &str) -> u64 {
+        self.get_scalar(name).unwrap_or(0)
+    }
+}
+
+impl Signals for VarState {
+    fn scalar(&self, name: &str) -> u64 {
+        self.get(name).map(verilog::Value::as_u64).unwrap_or(0)
+    }
+}
+
+/// Observes the settled state after every clock edge of a
+/// [`CircuitMachine`] — the hook waveform dumps, cycle profiles and
+/// divergence forensics attach to.
+///
+/// The default [`NoCycleObserver`] is a zero-sized no-op that
+/// monomorphises away, so an unobserved machine costs exactly what
+/// clocking the circuit does.
+pub trait CycleObserver {
+    /// Called after the clock edge of cycle `n`.
+    fn on_cycle(&mut self, n: u64, state: &impl Signals);
+}
+
+/// The no-op observer.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoCycleObserver;
+
+impl CycleObserver for NoCycleObserver {
+    #[inline(always)]
+    fn on_cycle(&mut self, _n: u64, _state: &impl Signals) {}
+}
+
+/// An observer that may be absent (an optional VCD dump or profile).
+impl<T: CycleObserver> CycleObserver for Option<T> {
+    #[inline]
+    fn on_cycle(&mut self, n: u64, state: &impl Signals) {
+        if let Some(o) = self {
+            o.on_cycle(n, state);
+        }
+    }
+}
+
+/// Fan-out: drive two observers from one run (a VCD dump plus a cycle
+/// profile).
+impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {
+    #[inline]
+    fn on_cycle(&mut self, n: u64, state: &impl Signals) {
+        self.0.on_cycle(n, state);
+        self.1.on_cycle(n, state);
+    }
+}
 
 /// The generated Verilog of the circuit and its variable state.
 struct Mirror {
@@ -148,10 +207,6 @@ impl<O> CircuitMachine<O> {
         &self.state
     }
 
-    fn scalar(&self, name: &str) -> u64 {
-        self.state.get_scalar(name).unwrap_or(0)
-    }
-
     fn regs(&self) -> &[u64] {
         match self.state.get("regs") {
             Ok(RValue::Mem { data, .. }) => data,
@@ -174,7 +229,7 @@ impl<O: CycleObserver> CircuitMachine<O> {
         match &mut self.mirror {
             None => {
                 interp::step(&self.circuit, &mut self.env, &mut self.state, n)?;
-                interp::CycleObserver::on_cycle(&mut self.observer, n, &self.state);
+                self.observer.on_cycle(n, &self.state);
             }
             Some(m) => {
                 for (name, value) in self.env.drive(n, &self.state) {
@@ -185,7 +240,7 @@ impl<O: CycleObserver> CircuitMachine<O> {
                 }
                 interp::cycle(&self.circuit, &mut self.state)?;
                 verilog::eval::cycle(&m.module, &mut m.state).map_err(verr)?;
-                verilog::eval::CycleObserver::on_cycle(&mut self.observer, n, &m.state);
+                self.observer.on_cycle(n, &m.state);
                 for name in SPOT_CHECKED {
                     let r = self.state.get_scalar(name)?;
                     let v = m.state.get(name).map_err(verr)?.as_u64();
@@ -220,13 +275,13 @@ impl<O: CycleObserver> CircuitMachine<O> {
                 self.error = Some(e);
                 return false;
             }
-            let counter = self.scalar("retired");
+            let counter = self.state.scalar("retired");
             if counter != self.counter {
                 self.counter = counter;
                 self.retired += 1;
                 return true;
             }
-            if self.scalar("state") == fsm::WEDGED {
+            if self.state.scalar("state") == fsm::WEDGED {
                 return false;
             }
         }
@@ -254,7 +309,7 @@ impl<O: CycleObserver> Machine for CircuitMachine<O> {
     /// boundary — a halting instruction at the PC ([`ag32::halts`],
     /// decoded against the environment's memory and the register file).
     fn is_halted(&self) -> bool {
-        if self.error.is_some() || self.scalar("state") == fsm::WEDGED {
+        if self.error.is_some() || self.state.scalar("state") == fsm::WEDGED {
             return true;
         }
         let pc = self.pc();
@@ -267,7 +322,7 @@ impl<O: CycleObserver> Machine for CircuitMachine<O> {
     }
 
     fn pc(&self) -> u32 {
-        self.scalar("pc") as u32
+        self.state.scalar("pc") as u32
     }
 
     fn read_word(&self, addr: u32) -> u32 {
@@ -290,9 +345,9 @@ impl<O: CycleObserver> Machine for CircuitMachine<O> {
         Arch {
             pc: self.pc(),
             regs,
-            carry: self.scalar("carry") != 0,
-            overflow: self.scalar("overflow") != 0,
-            data_out: self.scalar("data_out") as u32,
+            carry: self.state.scalar("carry") != 0,
+            overflow: self.state.scalar("overflow") != 0,
+            data_out: self.state.scalar("data_out") as u32,
             io_events: self.env.io_events.len(),
         }
     }

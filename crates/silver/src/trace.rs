@@ -4,7 +4,7 @@
 //! All of it is opt-in: a [`CircuitMachine`](crate::CircuitMachine)
 //! runs with the no-op observer unless one is attached.
 //!
-//! * **VCD dumping** — [`Vcd`] is a cycle observer that streams every
+//! * **VCD dumping** — [`Vcd`] is a [`CycleObserver`] that streams every
 //!   scalar signal of a circuit into an [`obs::VcdWriter`], from the
 //!   circuit state or from the Verilog state; [`VcdWindow`] is the
 //!   bounded in-memory variant that retains the last *N* cycles for
@@ -12,13 +12,23 @@
 //! * **Forensics** — theorem (9)'s lockstep
 //!   ([`check_lockstep`](crate::lockstep::check_lockstep)) reports, on
 //!   divergence, an [`obs::Forensics`] naming the divergent retire index
-//!   and clock cycle, every differing register, the last-N retired
-//!   instructions on both sides and a VCD window around the divergence.
-//!   [`check_cpu_verilog_equiv_forensic`] does the same for theorem
-//!   (10)'s RTL↔Verilog equivalence.
+//!   and clock cycle, every differing register, the last
+//!   [`FORENSIC_TAIL`] retired instructions on both sides and a VCD
+//!   window of the last [`VCD_WINDOW`] cycles. [`check_cpu_verilog_equiv`]
+//!   does the same for theorem (10)'s circuit↔Verilog equivalence.
 //! * **Cycle sampling** — [`PcSampler`] feeds the `pc` signal of every
 //!   clock cycle to an [`obs::CycleProfiler`], turning RTL/Verilog runs
 //!   into true cycle-attribution profiles (memory wait states included).
+//!
+//! Theorem (10) relates the circuit-level CPU (`silver_cpu`) to its
+//! generated Verilog (`silver_cpu_verilog`); composing it with the
+//! ISA↔circuit simulation of theorem (9) yields the ISA↔Verilog
+//! theorem (7). Both are executable here: [`check_cpu_verilog_equiv`]
+//! compares every signal each clock cycle, and a
+//! [`CircuitMachine`](crate::CircuitMachine) built
+//! [`with_verilog`](crate::CircuitMachine::with_verilog) runs a whole
+//! program under the Verilog semantics (theorem (7)'s `vstep m = Ok
+//! fin` runs).
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -26,12 +36,18 @@ use std::io::{self, Write};
 use ag32::State;
 use obs::{CycleProfiler, Forensics, RegDelta, VcdWriter};
 use rtl::ast::{Circuit, RTy};
-use rtl::interp::{self, RtlEnv as _, RtlState};
-use verilog::eval::VarState;
+use rtl::interp::RtlEnv as _;
 
 use crate::cpu::silver_cpu;
 use crate::env::MemEnvConfig;
-use crate::machine::env_from_isa;
+use crate::machine::{env_from_isa, CycleObserver, Signals};
+
+/// Last-N retired instructions (or, for theorem (10), cycles) a
+/// forensics report keeps on each side.
+pub const FORENSIC_TAIL: usize = 32;
+
+/// Cycles of waveform a forensics report keeps before the divergence.
+pub const VCD_WINDOW: usize = 16;
 
 /// The scalar (bit/word, non-memory) signals of a circuit, inputs first
 /// then registers, in declaration order — the signal set dumped to VCD.
@@ -46,46 +62,6 @@ pub fn scalar_signals(c: &Circuit) -> Vec<(String, u32)> {
             RTy::Mem { .. } => None,
         })
         .collect()
-}
-
-/// A circuit state or its Verilog counterpart, read signal by signal.
-trait Signals {
-    /// The scalar signal `name` (`0` when absent).
-    fn scalar(&self, name: &str) -> u64;
-
-    fn values(&self, signals: &[(String, u32)]) -> Vec<u64> {
-        signals.iter().map(|(name, _)| self.scalar(name)).collect()
-    }
-}
-
-impl Signals for RtlState {
-    fn scalar(&self, name: &str) -> u64 {
-        self.get_scalar(name).unwrap_or(0)
-    }
-}
-
-impl Signals for VarState {
-    fn scalar(&self, name: &str) -> u64 {
-        self.get(name).map(verilog::Value::as_u64).unwrap_or(0)
-    }
-}
-
-/// Implements both levels' `CycleObserver` for types with an
-/// `observe(&mut self, n, &impl Signals)` method.
-macro_rules! observes_both_levels {
-    ($([$($gen:tt)*] $ty:ty),* $(,)?) => {$(
-        impl<$($gen)*> interp::CycleObserver for $ty {
-            fn on_cycle(&mut self, n: u64, state: &RtlState) {
-                self.observe(n, state);
-            }
-        }
-
-        impl<$($gen)*> verilog::eval::CycleObserver for $ty {
-            fn on_cycle(&mut self, n: u64, state: &VarState) {
-                self.observe(n, state);
-            }
-        }
-    )*};
 }
 
 /// A cycle observer streaming every scalar signal of a circuit to a
@@ -127,12 +103,15 @@ impl<W: Write> Vcd<W> {
         }
         self.vcd.finish()
     }
+}
 
-    fn observe(&mut self, n: u64, state: &impl Signals) {
+impl<W: Write> CycleObserver for Vcd<W> {
+    fn on_cycle(&mut self, n: u64, state: &impl Signals) {
         if self.err.is_some() {
             return;
         }
-        if let Err(e) = self.vcd.sample(n, &state.values(&self.signals)) {
+        let values: Vec<u64> = self.signals.iter().map(|(name, _)| state.scalar(name)).collect();
+        if let Err(e) = self.vcd.sample(n, &values) {
             self.err = Some(e);
         }
     }
@@ -176,10 +155,12 @@ impl VcdWindow {
         }
         vcd.finish().map(|bytes| String::from_utf8_lossy(&bytes).into_owned()).unwrap_or_default()
     }
+}
 
-    /// Records one cycle's values, evicting the oldest beyond capacity
-    /// (and reusing its buffer).
-    fn observe(&mut self, n: u64, state: &impl Signals) {
+/// Records each cycle's values, evicting the oldest beyond capacity
+/// (and reusing its buffer).
+impl CycleObserver for VcdWindow {
+    fn on_cycle(&mut self, n: u64, state: &impl Signals) {
         if self.capacity == 0 {
             return;
         }
@@ -208,88 +189,60 @@ impl PcSampler {
     pub fn new(profiler: CycleProfiler) -> Self {
         PcSampler { profiler }
     }
+}
 
-    fn observe(&mut self, _n: u64, state: &impl Signals) {
+impl CycleObserver for PcSampler {
+    fn on_cycle(&mut self, _n: u64, state: &impl Signals) {
         self.profiler.record_pc(state.scalar("pc") as u32);
     }
 }
 
-observes_both_levels!([W: Write] Vcd<W>, [] VcdWindow, [] PcSampler);
-
-/// How much context a forensic run retains.
-#[derive(Clone, Copy, Debug)]
-pub struct ForensicConfig {
-    /// Last-N retired instructions kept on each side.
-    pub tail: usize,
-    /// Cycles of waveform kept around the divergence.
-    pub vcd_window: usize,
-}
-
-impl Default for ForensicConfig {
-    fn default() -> Self {
-        ForensicConfig { tail: 32, vcd_window: 16 }
-    }
-}
-
-fn push_capped(tail: &mut VecDeque<String>, cap: usize, line: String) {
-    if cap == 0 {
-        return;
-    }
-    if tail.len() == cap {
+fn push_capped(tail: &mut VecDeque<String>, line: String) {
+    if tail.len() == FORENSIC_TAIL {
         tail.pop_front();
     }
     tail.push_back(line);
 }
 
-/// What a t10 forensic run keeps while the equivalence check runs: the
-/// circuit-side waveform and both sides' recent `pc`/`state`/`retired`.
-struct EquivTrail {
-    window: VcdWindow,
-    cap: usize,
-    rtl: VecDeque<String>,
-    verilog: VecDeque<String>,
+/// A t10 forensics tail line: one side's `pc`/`state`/`retired`.
+fn trail_line(cycle: u64, st: &impl Signals) -> String {
+    let (pc, state, retired) = (st.scalar("pc"), st.scalar("state"), st.scalar("retired"));
+    format!("cyc {cycle:<6} pc {pc:#010x} state {state} retired {retired}")
 }
 
-impl EquivTrail {
-    fn observe(&mut self, cycle: u64, rtl_st: &RtlState, v_st: &VarState) {
-        self.window.observe(cycle, rtl_st);
-        let line = |st: &dyn Signals| {
-            let (pc, state, retired) = (st.scalar("pc"), st.scalar("state"), st.scalar("retired"));
-            format!("cyc {cycle:<6} pc {pc:#010x} state {state} retired {retired}")
-        };
-        push_capped(&mut self.rtl, self.cap, line(rtl_st));
-        push_capped(&mut self.verilog, self.cap, line(v_st));
-    }
-}
-
-/// [`check_cpu_verilog_equiv`](crate::verilog_level::check_cpu_verilog_equiv)
-/// with forensics: on the first signal divergence, reports the divergent
-/// cycle, the differing signal with both values, the recent `pc`/
-/// `state`/`retired` history on both sides and a VCD window (sampled
-/// from the circuit side) leading into the divergence.
+/// Theorem (10) for the Silver CPU: checks `cycles` cycles of
+/// circuit↔Verilog agreement under a lab environment built from
+/// `initial`'s memory, comparing every signal each clock cycle.
+///
+/// Both sides start from the all-zero state; pc and registers start at
+/// zero, so `initial` must be based at pc 0 for this check (the tests
+/// arrange that). The environment still serves the real memory image.
 ///
 /// # Errors
 ///
-/// A boxed [`Forensics`] report for any divergence or simulator error.
-pub fn check_cpu_verilog_equiv_forensic(
+/// A boxed [`Forensics`] report for the first signal divergence or
+/// simulator error: the divergent cycle, the differing signal with both
+/// values, the last [`FORENSIC_TAIL`] cycles of `pc`/`state`/`retired`
+/// on both sides and a [`VCD_WINDOW`]-cycle waveform (sampled from the
+/// circuit side) leading into the divergence.
+pub fn check_cpu_verilog_equiv(
     initial: &State,
     cfg: MemEnvConfig,
     cycles: u64,
-    fcfg: &ForensicConfig,
 ) -> Result<(), Box<Forensics>> {
     let circuit = silver_cpu();
     let mut env = env_from_isa(initial, cfg);
-    let mut trail = EquivTrail {
-        window: VcdWindow::new(&circuit, fcfg.vcd_window),
-        cap: fcfg.tail,
-        rtl: VecDeque::new(),
-        verilog: VecDeque::new(),
-    };
+    let mut window = VcdWindow::new(&circuit, VCD_WINDOW);
+    let (mut rtl_tail, mut verilog_tail) = (VecDeque::new(), VecDeque::new());
     let e = match rtl::check_equiv_observed(
         &circuit,
         |cycle, st| env.drive(cycle, st),
         cycles,
-        |cycle, rtl_st, v_st| trail.observe(cycle, rtl_st, v_st),
+        |cycle, rtl_st, v_st| {
+            window.on_cycle(cycle, rtl_st);
+            push_capped(&mut rtl_tail, trail_line(cycle, rtl_st));
+            push_capped(&mut verilog_tail, trail_line(cycle, v_st));
+        },
     ) {
         Ok(()) => return Ok(()),
         Err(e) => e,
@@ -301,9 +254,9 @@ pub fn check_cpu_verilog_equiv_forensic(
     } else {
         fx.notes.push(e.to_string());
     }
-    fx.spec_tail = trail.rtl.into();
-    fx.impl_tail = trail.verilog.into();
-    fx.vcd_window = trail.window.render("silver_cpu");
+    fx.spec_tail = rtl_tail.into();
+    fx.impl_tail = verilog_tail.into();
+    fx.vcd_window = window.render("silver_cpu");
     Err(Box::new(fx))
 }
 
@@ -313,6 +266,7 @@ mod tests {
     use crate::env::MemEnvConfig;
     use ag32::asm::Assembler;
     use ag32::{Func, Reg, Ri};
+    use rtl::interp::RtlState;
 
     fn count_to_ten() -> State {
         let mut a = Assembler::new(0);
@@ -338,7 +292,7 @@ mod tests {
             100,
             MemEnvConfig::default(),
             20_000,
-            &ForensicConfig::default(),
+            &mut ag32::NoTrace,
         )
         .expect("healthy CPU must pass forensic lockstep");
         assert!(report.instructions > 10);
@@ -360,7 +314,7 @@ mod tests {
         let mut w = VcdWindow::new(&c, 4);
         let st = RtlState::zeroed(&c);
         for cycle in 0..10 {
-            interp::CycleObserver::on_cycle(&mut w, cycle, &st);
+            w.on_cycle(cycle, &st);
         }
         let text = w.render("win");
         assert!(text.starts_with("$version"), "{text}");

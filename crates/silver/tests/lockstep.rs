@@ -4,9 +4,9 @@
 //! under fixed and random memory latencies.
 
 use ag32::asm::Assembler;
-use ag32::{encode, Func, Instr, Reg, Ri, Shift, State};
+use ag32::{encode, Func, Instr, NoTrace, Reg, Ri, Shift, State};
 use silver::env::{Latency, MemEnvConfig};
-use silver::lockstep::run_lockstep;
+use silver::{check_lockstep, silver_cpu};
 use testkit::prop::Ctx;
 use testkit::rng::{Rng as _, TestRng};
 
@@ -42,7 +42,7 @@ fn straightline_alu_program() {
     }
     a.halt(r(5));
     let s = state_with_code(0, &a.assemble().unwrap());
-    let rep = run_lockstep(&s, 1000, cfg_fixed(0), 100_000).unwrap();
+    let rep = check_lockstep(silver_cpu(), &s, 1000, cfg_fixed(0), 100_000, &mut NoTrace).unwrap();
     assert_eq!(rep.instructions, 3 + 32);
 }
 
@@ -59,7 +59,7 @@ fn shifts_and_rotates() {
     }
     a.halt(r(3));
     let s = state_with_code(0, &a.assemble().unwrap());
-    run_lockstep(&s, 1000, cfg_fixed(1), 100_000).unwrap();
+    check_lockstep(silver_cpu(), &s, 1000, cfg_fixed(1), 100_000, &mut NoTrace).unwrap();
 }
 
 #[test]
@@ -81,7 +81,7 @@ fn memory_traffic_words_and_bytes() {
     a.halt(r(8));
     let s = state_with_code(0x100, &a.assemble().unwrap());
     for lat in [0, 1, 3] {
-        run_lockstep(&s, 1000, cfg_fixed(lat), 100_000).unwrap();
+        check_lockstep(silver_cpu(), &s, 1000, cfg_fixed(lat), 100_000, &mut NoTrace).unwrap();
     }
 }
 
@@ -98,7 +98,8 @@ fn loops_and_branches() {
     a.branch_nonzero_sub(Ri::Reg(r(2)), Ri::Imm(0), "loop", r(60));
     a.halt(r(61));
     let s = state_with_code(0, &a.assemble().unwrap());
-    let rep = run_lockstep(&s, 10_000, cfg_random(3), 1_000_000).unwrap();
+    let rep =
+        check_lockstep(silver_cpu(), &s, 10_000, cfg_random(3), 1_000_000, &mut NoTrace).unwrap();
     assert!(rep.instructions > 30);
 }
 
@@ -113,7 +114,7 @@ fn call_ret_and_computed_jumps() {
     a.normal(Func::Add, r(1), Ri::Reg(r(1)), Ri::Imm(5));
     a.ret(r(62), r(59));
     let s = state_with_code(0, &a.assemble().unwrap());
-    run_lockstep(&s, 1000, cfg_random(11), 100_000).unwrap();
+    check_lockstep(silver_cpu(), &s, 1000, cfg_random(11), 100_000, &mut NoTrace).unwrap();
 }
 
 #[test]
@@ -126,7 +127,7 @@ fn in_out_ports_and_accelerator() {
     a.halt(r(4));
     let mut s = state_with_code(0, &a.assemble().unwrap());
     s.data_in = 0x7F;
-    run_lockstep(&s, 100, cfg_fixed(0), 10_000).unwrap();
+    check_lockstep(silver_cpu(), &s, 100, cfg_fixed(0), 10_000, &mut NoTrace).unwrap();
 }
 
 #[test]
@@ -143,7 +144,7 @@ fn interrupt_records_matching_io_events() {
     a.halt(r(3));
     let mut s = state_with_code(0, &a.assemble().unwrap());
     s.io_window = (0x3000, 8);
-    let rep = run_lockstep(&s, 100, cfg_random(5), 100_000).unwrap();
+    let rep = check_lockstep(silver_cpu(), &s, 100, cfg_random(5), 100_000, &mut NoTrace).unwrap();
     assert_eq!(rep.instructions, 7);
 }
 
@@ -155,7 +156,7 @@ fn reserved_wedges_both_levels() {
     a.instr(Instr::Reserved);
     a.li(r(1), 9); // must never execute
     let s = state_with_code(0, &a.assemble().unwrap());
-    let rep = run_lockstep(&s, 100, cfg_fixed(0), 10_000).unwrap();
+    let rep = check_lockstep(silver_cpu(), &s, 100, cfg_fixed(0), 10_000, &mut NoTrace).unwrap();
     assert_eq!(rep.instructions, 1, "only the li retires");
 }
 
@@ -172,7 +173,7 @@ fn flags_across_instruction_boundaries() {
     a.normal(Func::Overflow, r(6), Ri::Imm(0), Ri::Imm(0));
     a.halt(r(7));
     let s = state_with_code(0, &a.assemble().unwrap());
-    run_lockstep(&s, 100, cfg_fixed(2), 10_000).unwrap();
+    check_lockstep(silver_cpu(), &s, 100, cfg_fixed(2), 10_000, &mut NoTrace).unwrap();
 }
 
 #[test]
@@ -187,7 +188,7 @@ fn nonzero_initial_registers_and_pc() {
     }
     s.carry = true;
     s.overflow = true;
-    run_lockstep(&s, 10, cfg_fixed(0), 1_000).unwrap();
+    check_lockstep(silver_cpu(), &s, 10, cfg_fixed(0), 1_000, &mut NoTrace).unwrap();
 }
 
 /// Builds a random structured program: nested counted loops around
@@ -241,7 +242,7 @@ fn random_structured_programs() {
         (0..24).map(|_| (seeder.next_u64(), seeder.gen_range(1u32..5))).collect();
     testkit::par::par_map(cases, |(seed, blocks)| {
         let s = random_structured_program(seed, blocks);
-        run_lockstep(&s, 3000, cfg_random(seed ^ 0xABCD), 3_000_000)
+        check_lockstep(silver_cpu(), &s, 3000, cfg_random(seed ^ 0xABCD), 3_000_000, &mut NoTrace)
             .unwrap_or_else(|e| panic!("seed {seed:#x}, {blocks} blocks: {e}"));
     });
 }
@@ -278,7 +279,8 @@ testkit::props! {
         s.mem.write_word(addr, encode(Instr::Jump {
             func: Func::Add, w: Reg::new(0), a: Ri::Imm(0),
         }));
-        let rep = run_lockstep(&s, words.len() as u64 + 1, cfg_random(seed), 2_000_000)
+        let n = words.len() as u64 + 1;
+        let rep = check_lockstep(silver_cpu(), &s, n, cfg_random(seed), 2_000_000, &mut NoTrace)
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(rep.cycles >= rep.instructions);
     }
@@ -298,7 +300,7 @@ testkit::props! {
         s.carry = ctx.any_bool();
         s.overflow = ctx.any_bool();
         let seed = ctx.any::<u64>();
-        run_lockstep(&s, 100, cfg_random(seed), 100_000)
+        check_lockstep(silver_cpu(), &s, 100, cfg_random(seed), 100_000, &mut NoTrace)
             .unwrap_or_else(|e| panic!("{e}"));
     }
 }

@@ -4,12 +4,12 @@
 //! retire, the differing register, and both retire tails.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Machine, Reg, Ri, State};
+use ag32::{Func, Machine, NoTrace, Reg, Ri, State};
 use rtl::ast::{word, Circuit, RExpr, RStmt};
-use rtl::interp::NoCycleObserver;
 use silver::env::{Latency, MemEnvConfig};
 use silver::lockstep::check_lockstep;
-use silver::trace::{ForensicConfig, Vcd};
+use silver::machine::NoCycleObserver;
+use silver::trace::{Vcd, FORENSIC_TAIL};
 use silver::{silver_cpu, CircuitMachine};
 
 fn state_with_code(base: u32, code: &[u8]) -> State {
@@ -35,11 +35,16 @@ fn fixed_program() -> State {
     state_with_code(0, &a.assemble().unwrap())
 }
 
-/// The VCD dump of [`fixed_program`] run to its halt on the circuit.
-fn dump_fixed_run() -> Vec<u8> {
+/// The VCD dump of [`fixed_program`] run to its halt on the circuit —
+/// or, with `verilog`, on its generated Verilog, whose state the
+/// observer then sees.
+fn dump_fixed_run(verilog: bool) -> Vec<u8> {
     let vcd = Vcd::new(Vec::new(), &silver_cpu(), "silver_cpu").expect("vcd header writes");
     let s = fixed_program();
     let mut m = CircuitMachine::with_circuit(silver_cpu(), &s, cfg_fixed(0), 10_000, vcd);
+    if verilog {
+        m = m.with_verilog().expect("verilog mirror builds");
+    }
     m.run(u64::MAX);
     assert!(m.error().is_none() && m.is_halted(), "fixed run completes");
     m.into_observer().finish().expect("vcd flushes")
@@ -48,12 +53,13 @@ fn dump_fixed_run() -> Vec<u8> {
 /// The VCD dump of a fixed RTL run is byte-for-byte reproducible and
 /// matches the checked-in golden file. The writer emits no timestamps
 /// or tool versions, so the waveform is a function of the circuit and
-/// the program alone. Regenerate with `SILVER_BLESS=1 cargo test -p
-/// silver --test observability`.
+/// the program alone. The same run on the generated Verilog, where the
+/// observer reads the Verilog state, dumps the identical waveform.
+/// Regenerate with `SILVER_BLESS=1 cargo test -p silver --test
+/// observability`.
 #[test]
 fn vcd_golden_fixed_rtl_run() {
-    let bytes = dump_fixed_run();
-    let text = String::from_utf8(bytes).expect("vcd is ascii");
+    let text = String::from_utf8(dump_fixed_run(false)).expect("vcd is ascii");
 
     // Structural sanity regardless of the golden file.
     for marker in ["$timescale", "$scope module silver_cpu $end", "$var wire 32", "$dumpvars"] {
@@ -68,13 +74,15 @@ fn vcd_golden_fixed_rtl_run() {
     let golden = std::fs::read_to_string(golden_path)
         .expect("golden file missing; run with SILVER_BLESS=1 to create it");
     assert_eq!(text, golden, "VCD dump of the fixed run changed; re-bless if intentional");
+    let verilog = String::from_utf8(dump_fixed_run(true)).expect("vcd is ascii");
+    assert_eq!(verilog, golden, "VCD dump of the Verilog-level run departs from the circuit's");
 }
 
 /// A second run of the same program produces the identical dump —
 /// the writer holds no hidden state.
 #[test]
 fn vcd_dump_is_deterministic() {
-    assert_eq!(dump_fixed_run(), dump_fixed_run());
+    assert_eq!(dump_fixed_run(false), dump_fixed_run(false));
 }
 
 /// Rewrites every register-file write in the circuit to store
@@ -121,15 +129,8 @@ fn sabotaged_cpu() -> Circuit {
 #[test]
 fn forensic_lockstep_passes_on_healthy_cpu() {
     let s = fixed_program();
-    let rep = check_lockstep(
-        silver_cpu(),
-        &s,
-        100,
-        cfg_fixed(0),
-        100_000,
-        &ForensicConfig::default(),
-    )
-    .expect("healthy CPU stays in lockstep");
+    let rep = check_lockstep(silver_cpu(), &s, 100, cfg_fixed(0), 100_000, &mut NoTrace)
+        .expect("healthy CPU stays in lockstep");
     assert_eq!(rep.instructions, 4, "two li, add, xor (the halt self-jump does not retire)");
 }
 
@@ -141,15 +142,8 @@ fn forensic_lockstep_passes_on_healthy_cpu() {
 #[test]
 fn injected_t9_bug_yields_forensics() {
     let s = fixed_program();
-    let fx = check_lockstep(
-        sabotaged_cpu(),
-        &s,
-        100,
-        cfg_fixed(0),
-        100_000,
-        &ForensicConfig::default(),
-    )
-    .expect_err("sabotaged CPU must diverge");
+    let fx = check_lockstep(sabotaged_cpu(), &s, 100, cfg_fixed(0), 100_000, &mut NoTrace)
+        .expect_err("sabotaged CPU must diverge");
 
     // The report names where it happened...
     assert_eq!(fx.kind, "t9 ISA\u{2194}RTL lockstep");
@@ -192,10 +186,16 @@ fn injected_t9_bug_yields_forensics() {
 }
 
 /// The tail bound is honoured for longer programs: a loop retiring far
-/// more than `tail` instructions keeps only the last `tail` on the spec
-/// side.
+/// more than [`FORENSIC_TAIL`] instructions before its fault keeps
+/// exactly the last `FORENSIC_TAIL` on each side.
 #[test]
 fn forensic_tails_are_bounded() {
+    let mut circuit = silver_cpu();
+    let mut flipped = 0;
+    for p in &mut circuit.processes {
+        sabotage_magic_writes(&mut p.body, &mut flipped);
+    }
+    assert!(flipped > 0);
     let mut a = Assembler::new(0);
     let r = Reg::new;
     a.li(r(1), 0);
@@ -204,13 +204,14 @@ fn forensic_tails_are_bounded() {
     a.normal(Func::Add, r(1), Ri::Reg(r(1)), Ri::Imm(1));
     a.normal(Func::Dec, r(2), Ri::Imm(0), Ri::Reg(r(2)));
     a.branch_nonzero_sub(Ri::Reg(r(2)), Ri::Imm(0), "loop", r(60));
+    a.li(r(3), 0xBAD0); // the faulty write, after ~90 good retires
     a.halt(r(61));
     let s = state_with_code(0, &a.assemble().unwrap());
-    let fcfg = ForensicConfig { tail: 8, vcd_window: 4 };
-    let fx = check_lockstep(sabotaged_cpu(), &s, 1000, cfg_fixed(0), 1_000_000, &fcfg)
+    let fx = check_lockstep(circuit, &s, 1000, cfg_fixed(0), 1_000_000, &mut NoTrace)
         .expect_err("sabotaged CPU must diverge");
-    assert!(fx.spec_tail.len() <= 8, "spec tail capped: {}", fx.spec_tail.len());
-    assert!(fx.impl_tail.len() <= 8, "impl tail capped: {}", fx.impl_tail.len());
+    assert!(fx.divergent_step.unwrap() as usize > FORENSIC_TAIL, "{}", fx.render());
+    assert_eq!(fx.spec_tail.len(), FORENSIC_TAIL, "spec tail capped");
+    assert_eq!(fx.impl_tail.len(), FORENSIC_TAIL, "impl tail capped");
 }
 
 /// Rewrites only the register-file writes of `0xBAD0` to store `0xBAD1`
@@ -269,7 +270,7 @@ fn transient_register_fault_is_caught_at_its_retire() {
     assert!(m.error().is_none() && m.is_halted());
     assert!(isa.isa_visible_eq(&m.capture()), "the fault leaves no trace at the end");
 
-    let fx = check_lockstep(circuit, &s, 100, cfg_fixed(0), 10_000, &ForensicConfig::default())
+    let fx = check_lockstep(circuit, &s, 100, cfg_fixed(0), 10_000, &mut NoTrace)
         .expect_err("the per-retire lockstep catches the transient fault");
     assert_eq!(fx.divergent_step, Some(1), "{}", fx.render());
     let r1 = fx.deltas.iter().find(|d| d.field == "r1").expect("r1 delta");
@@ -288,8 +289,7 @@ fn a_fault_on_the_first_retire_is_step_zero_everywhere() {
     let s = state_with_code(0, &a.assemble().unwrap());
     let jet = jet::run_shadow(&s, 100, 1, 1).expect_err("the jet ALU fault is caught");
     assert_eq!(jet.divergent_step, Some(0), "{}", jet.render());
-    let fcfg = ForensicConfig::default();
-    let t9 = check_lockstep(sabotaged_cpu(), &s, 100, cfg_fixed(0), 10_000, &fcfg)
+    let t9 = check_lockstep(sabotaged_cpu(), &s, 100, cfg_fixed(0), 10_000, &mut NoTrace)
         .expect_err("the circuit fault is caught");
     assert_eq!(t9.divergent_step, Some(0), "{}", t9.render());
 }

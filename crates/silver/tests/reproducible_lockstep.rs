@@ -4,15 +4,16 @@
 //!
 //! Three random programs are generated from seeds derived from
 //! `TESTKIT_SEED` (so the suite still covers fresh programs when the
-//! master seed changes), each is run through `run_lockstep` twice with
+//! master seed changes), each is run through `check_lockstep` twice with
 //! identical configuration, and the two [`LockstepReport`]s must be
 //! bit-identical. This is the reproducibility contract the hermetic
 //! `testkit` harness promises: same `TESTKIT_SEED`, same outcome.
 
 use ag32::asm::Assembler;
-use ag32::{Func, Reg, Ri, Shift, State};
+use ag32::{Func, NoTrace, Reg, Ri, Shift, State};
 use silver::env::{Latency, MemEnvConfig};
-use silver::lockstep::{run_lockstep, LockstepReport};
+use silver::lockstep::{check_lockstep, LockstepReport};
+use silver::silver_cpu;
 use testkit::rng::{Rng as _, TestRng};
 
 /// A small random structured program: a few blocks of ALU/shift work
@@ -57,7 +58,7 @@ fn run_once(s: &State, env_seed: u64) -> LockstepReport {
         start_delay: 2,
         seed: env_seed,
     };
-    run_lockstep(s, 20_000, cfg, 2_000_000).unwrap()
+    check_lockstep(silver_cpu(), s, 20_000, cfg, 2_000_000, &mut NoTrace).unwrap()
 }
 
 #[test]

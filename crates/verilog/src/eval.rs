@@ -504,53 +504,6 @@ pub fn step(
     cycle(module, state)
 }
 
-/// Observes the post-edge state after every clock cycle — the Verilog-
-/// level sibling of `rtl::interp::CycleObserver`, used for waveform
-/// dumping and forensics.
-///
-/// The default [`NoCycleObserver`] is a zero-sized no-op that
-/// monomorphises away.
-pub trait CycleObserver {
-    /// Called after the clock edge of cycle `c`, with the settled state.
-    fn on_cycle(&mut self, c: u64, state: &VarState);
-}
-
-/// The no-op observer.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoCycleObserver;
-
-impl CycleObserver for NoCycleObserver {
-    #[inline(always)]
-    fn on_cycle(&mut self, _c: u64, _state: &VarState) {}
-}
-
-impl<T: CycleObserver> CycleObserver for &mut T {
-    #[inline]
-    fn on_cycle(&mut self, c: u64, state: &VarState) {
-        (**self).on_cycle(c, state);
-    }
-}
-
-/// An observer that may be absent (an optional VCD dump or profile).
-impl<T: CycleObserver> CycleObserver for Option<T> {
-    #[inline]
-    fn on_cycle(&mut self, c: u64, state: &VarState) {
-        if let Some(o) = self {
-            o.on_cycle(c, state);
-        }
-    }
-}
-
-/// Fan-out: drive two observers from one run (e.g. a VCD dumper plus a
-/// cycle profiler).
-impl<A: CycleObserver, B: CycleObserver> CycleObserver for (A, B) {
-    #[inline]
-    fn on_cycle(&mut self, c: u64, state: &VarState) {
-        self.0.on_cycle(c, state);
-        self.1.on_cycle(c, state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,5 +72,5 @@ pub mod pretty;
 pub mod value;
 
 pub use ast::{Dir, Expr, Lhs, Module, Port, Process, Stmt, Type, VarDecl};
-pub use eval::{cycle, run, CycleObserver, Env, NoCycleObserver, VError, VarState};
+pub use eval::{cycle, run, Env, VError, VarState};
 pub use value::Value;

@@ -290,8 +290,6 @@ grep -q 'run_to_halt_observed(state, layout, fuel, &mut NoTrace)' crates/basis/s
 grep -q 'Backend::Isa => self.run_isa(image, rc, &mut NoTrace)' crates/core/src/stack.rs
 grep -q 'self.run_isa(snap.restore(), rc, &mut NoTrace)' crates/core/src/stack.rs
 grep -q 'silver::exec::run(state, &plan, &mut hooks, &mut NoTrace)' crates/service/src/server.rs
-grep -q 'run_with_oracle_traced(state, layout, ffi_names, fs, fuel, None)' \
-    crates/basis/src/machine.rs
 grep -q 'if ocfg.is_off()' crates/core/src/stack.rs
 grep -q 'progress: false' crates/campaign/src/engine.rs
 # And the no-op sinks must really be no-ops (const ACTIVE = false).
@@ -354,7 +352,22 @@ if grep -rnE 'Func::Snd *=>|func: *(\w+::)*Func::Snd, *a, *\.\.' --include='*.rs
     echo "a halt predicate outside crates/ag32; use ag32::halts" >&2
     exit 1
 fi
-echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one halt predicate"
+# That machine has one per-cycle observer (silver::machine::CycleObserver)
+# for both the circuit and its Verilog, and each circuit theorem one
+# entry point (check_lockstep, check_cpu_verilog_equiv) with its
+# forensics; the per-crate observer twins, the forensics-config split
+# and the dead traced-oracle run must not return.
+if grep -rnE 'trait CycleObserver\b' --include='*.rs' crates tests examples \
+    | grep -v '^crates/silver/'; then
+    echo "a cycle observer trait outside crates/silver; use silver::machine::CycleObserver" >&2
+    exit 1
+fi
+if grep -rnE 'observes_both_levels|ForensicConfig|fn run_lockstep\b|check_cpu_verilog_equiv_forensic|fn run_with_oracle_traced\b' \
+    --include='*.rs' crates tests examples; then
+    echo "a second circuit observer or theorem entry point reappeared; use silver::check_lockstep / check_cpu_verilog_equiv" >&2
+    exit 1
+fi
+echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read
