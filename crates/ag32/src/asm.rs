@@ -59,8 +59,8 @@ enum Item {
     Word(u32),
     Bytes(Vec<u8>),
     Align(u32),
-    /// `R[w] := address_of(label) + offset` — always two words.
-    LaAbs { w: Reg, label: String, offset: i32 },
+    /// `R[w] := address_of(label)` — always two words.
+    LaAbs { w: Reg, label: String },
     /// Label-relative conditional branch — always three words
     /// (constant load pair into `scratch`, then `JumpIf(Not)Zero`).
     BranchRel { on_nonzero: bool, func: Func, a: Ri, b: Ri, label: String, scratch: Reg },
@@ -188,12 +188,7 @@ impl Assembler {
 
     /// Loads the absolute address of `label` into `w` (two words).
     pub fn la(&mut self, w: Reg, label: impl Into<String>) {
-        self.items.push(Item::LaAbs { w, label: label.into(), offset: 0 });
-    }
-
-    /// Loads `address_of(label) + offset` into `w` (two words).
-    pub fn la_off(&mut self, w: Reg, label: impl Into<String>, offset: i32) {
-        self.items.push(Item::LaAbs { w, label: label.into(), offset });
+        self.items.push(Item::LaAbs { w, label: label.into() });
     }
 
     /// Unconditional jump to `label`, clobbering `scratch` with the target
@@ -321,8 +316,8 @@ impl Assembler {
                 Item::WordLabel(l) => out.extend_from_slice(&lookup(l)?.to_le_bytes()),
                 Item::Bytes(b) => out.extend_from_slice(b),
                 Item::Align(_) => out.resize(out.len() + item.size(at) as usize, 0),
-                Item::LaAbs { w, label, offset } => {
-                    let value = lookup(label)?.wrapping_add(*offset as u32);
+                Item::LaAbs { w, label } => {
+                    let value = lookup(label)?;
                     for i in load_full_word(*w, value) {
                         push_instr(&mut out, i);
                     }

@@ -57,14 +57,6 @@ pub enum Ri {
     Imm(i8),
 }
 
-impl Ri {
-    /// Whether `v` is representable as an [`Ri::Imm`].
-    #[must_use]
-    pub fn fits_imm(v: i64) -> bool {
-        (-32..=31).contains(&v)
-    }
-}
-
 impl From<Reg> for Ri {
     fn from(r: Reg) -> Self {
         Ri::Reg(r)

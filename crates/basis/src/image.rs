@@ -87,10 +87,13 @@ pub fn build_image(
             max: layout.cl_size,
         });
     }
+    if layout.code_base.checked_add(compiled.code.len() as u32).is_none() {
+        return Err(ImageError::CodeTooLarge);
+    }
 
-    let mut s = State::new();
+    let mut s = pure_image(compiled);
 
-    // Startup: jump to the compiled `_start`; halt loop; exit-code word.
+    // Startup: jump to the compiled `_start`.
     let mut boot = Assembler::new(layout.startup_base);
     boot.li(Reg::new(60), layout.code_base);
     boot.instr(Instr::Jump { func: Func::Snd, w: Reg::new(61), a: Ri::Reg(Reg::new(60)) });
@@ -100,11 +103,6 @@ pub fn build_image(
         "startup code overlaps the exit-code word"
     );
     s.mem.write_bytes(layout.startup_base, &boot_code);
-    s.mem.write_word(layout.exit_code_addr, EXIT_UNSET);
-    s.mem.write_word(
-        layout.halt_addr,
-        ag32::encode(Instr::Jump { func: Func::Add, w: Reg::new(0), a: Ri::Imm(0) }),
-    );
 
     // Command line: count, then length-prefixed, 4-padded arguments.
     s.mem.write_word(layout.cl_base, args.len() as u32);
@@ -126,15 +124,27 @@ pub fn build_image(
     assert!(sys.len() as u32 <= layout.ffi_size, "syscall code exceeds its region");
     s.mem.write_bytes(layout.ffi_base, &sys);
 
-    // Compiled code + data.
-    if layout.code_base.checked_add(compiled.code.len() as u32).is_none() {
-        return Err(ImageError::CodeTooLarge);
-    }
-    s.mem.write_bytes(layout.code_base, &compiled.code);
-
     s.pc = layout.startup_base;
     s.io_window = layout.io_window();
     Ok(s)
+}
+
+/// The image of a program that makes no system calls, started without
+/// startup code: the compiled code and data at `code_base` with the PC
+/// there, the exit-code word unset and the halt loop. [`build_image`]
+/// adds the startup code, command line, stdin and system calls to it.
+#[must_use]
+pub fn pure_image(compiled: &CompiledProgram) -> State {
+    let layout = compiled.layout;
+    let mut s = State::new();
+    s.mem.write_word(layout.exit_code_addr, EXIT_UNSET);
+    s.mem.write_word(
+        layout.halt_addr,
+        ag32::encode(Instr::Jump { func: Func::Add, w: Reg::new(0), a: Ri::Imm(0) }),
+    );
+    s.mem.write_bytes(layout.code_base, &compiled.code);
+    s.pc = layout.code_base;
+    s
 }
 
 #[cfg(test)]

@@ -51,10 +51,10 @@ pub mod trace;
 
 pub use cakeml::TargetLayout;
 pub use fs::FsState;
-pub use image::{build_image, ImageError};
+pub use image::{build_image, pure_image, ImageError};
 pub use machine::{
     classify_exit, extract_streams, finished, run_to_halt, run_to_halt_observed, run_with_oracle,
     ExitStatus, Finished,
 };
 pub use oracle::{call_ffi, BasisHost, FfiOutcome};
-pub use trace::{fd_summary, SyscallEvent, SyscallTrace, SyscallTracer};
+pub use trace::{SyscallEvent, SyscallTrace, SyscallTracer};

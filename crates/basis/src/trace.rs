@@ -2,7 +2,7 @@
 //!
 //! A [`SyscallTrace`] records one [`SyscallEvent`] per FFI call: the
 //! call name, its configuration string, the byte-array size, the
-//! post-call status byte, a short result summary, and the descriptor
+//! post-call status byte, a short result summary, and the stdin device
 //! state after the call. [`SyscallTracer`], an [`ag32::Tracer`], fills
 //! it while a pure-`Next` run executes the real system-call machine
 //! code — the run it observes is the run that produces the result.
@@ -13,8 +13,6 @@ use std::fmt::Write as _;
 
 use ag32::{RetireEvent, State, Tracer};
 use cakeml::TargetLayout;
-
-use crate::fs::FsState;
 
 /// One traced FFI call.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -35,7 +33,7 @@ pub struct SyscallEvent {
     /// How the call was serviced: `machine` (its system-call code ran
     /// on the machine).
     pub outcome: String,
-    /// Descriptor state after the call (see [`fd_summary`]).
+    /// The stdin device after the call, `stdin@<cursor>/<length>`.
     pub fds: String,
 }
 
@@ -95,25 +93,6 @@ impl SyscallTrace {
         }
         out
     }
-}
-
-/// A compact descriptor-table summary: stdin cursor plus one
-/// `fd:mode name[@pos][(closed)]` entry per open file descriptor.
-#[must_use]
-pub fn fd_summary(fs: &FsState) -> String {
-    let mut out = format!("stdin@{}/{}", fs.stdin_pos.min(fs.stdin.len()), fs.stdin.len());
-    for (i, d) in fs.descriptors.iter().enumerate() {
-        let _ = write!(
-            out,
-            ", {}:{} {}{}{}",
-            i + 3,
-            if d.writable { 'w' } else { 'r' },
-            d.name,
-            if d.writable { String::new() } else { format!("@{}", d.pos) },
-            if d.closed { " (closed)" } else { "" },
-        );
-    }
-    out
 }
 
 /// An FFI call the machine entered and has not returned from, with the
@@ -224,23 +203,5 @@ impl Tracer for SyscallTracer {
             call.observe(s, self.stdin_base);
             self.in_flight = Some(call);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fd_summary_lists_descriptors() {
-        let mut fs = FsState::default();
-        fs.files.insert("in.txt".into(), b"xyz".to_vec());
-        let r = fs.open_in("in.txt").unwrap();
-        fs.read(r, 2);
-        let w = fs.open_out("out.txt").unwrap();
-        fs.close(w);
-        let s = fd_summary(&fs);
-        assert!(s.contains("3:r in.txt@2"), "{s}");
-        assert!(s.contains("4:w out.txt (closed)"), "{s}");
     }
 }

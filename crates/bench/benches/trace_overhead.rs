@@ -1,14 +1,14 @@
 //! Observability overhead: tracing must cost nothing unless asked for.
 //!
 //! The acceptance bar for the observability subsystem is that the
-//! *untraced* ISA execution path regresses by less than 2% — the
-//! `Tracer` sink is monomorphised with `const ACTIVE: bool`, so
-//! `run_traced(.., &mut NoTrace)` must compile to the same loop as the
-//! plain `run`. This bench measures:
+//! *untraced* ISA execution path regresses by less than 2%. That holds
+//! by construction, not by measurement: `State::run` is
+//! `run_traced(.., &mut NoTrace)`, the [`ag32::NoTrace`] sink is
+//! monomorphised with `const ACTIVE: bool = false`, and
+//! `scripts/ci.sh` pins both. So there is no separate no-op-sink row
+//! (it would time the baseline's own code). This bench measures:
 //!
 //! * `isa_untraced` — the plain `State::run` baseline;
-//! * `isa_notrace_sink` — `run_traced` with the [`ag32::NoTrace`] sink
-//!   (must be within noise of the baseline: the <2% claim);
 //! * `isa_retire_ring_32` — the last-32 retire ring switched on;
 //! * `isa_profiler` — per-symbol retire attribution switched on;
 //! * `isa_edge_set` — campaign PC-edge coverage ([`ag32::EdgeSet`]).
@@ -18,7 +18,7 @@
 //! in fuzz campaigns.
 
 use ag32::asm::Assembler;
-use ag32::{EdgeSet, Func, NoTrace, Reg, Ri, RetireRing, State};
+use ag32::{EdgeSet, Func, Reg, Ri, RetireRing, State};
 use obs::CycleProfiler;
 use testkit::bench::Bench;
 
@@ -46,13 +46,6 @@ fn main() {
     b.bench("isa_untraced", || {
         let mut s = loop_program(ITERS);
         let n = s.run(FUEL);
-        assert!(s.is_halted());
-        n
-    });
-
-    b.bench("isa_notrace_sink", || {
-        let mut s = loop_program(ITERS);
-        let n = s.run_traced(FUEL, &mut NoTrace);
         assert!(s.is_halted());
         n
     });

@@ -20,16 +20,18 @@
 //! The full end-to-end target (theorem (8)) lives in the `silver-stack`
 //! crate — it needs the stack composition, which sits above this crate.
 
-use std::ops::ControlFlow;
-
-use ag32::{Machine as _, NoTrace};
-use basis::{build_image, run_to_halt_observed, run_with_oracle, BasisHost, ExitStatus, FsState};
+use ag32::Machine as _;
+use basis::{
+    build_image, classify_exit, pure_image, run_to_halt_observed, run_with_oracle, BasisHost,
+    ExitStatus, FsState,
+};
 use cakeml::{
     compile_source, frontend, program_features, run_program, CompilerConfig, NoFfi, Stop,
     TargetLayout,
 };
+use obs::Forensics;
 use silver::env::{Latency, MemEnvConfig};
-use silver::exec::{Hooks, Plan, RunEnd, Shadow};
+use silver::exec::{Plan, RunEnd, Shadow};
 use silver::silver_cpu;
 use testkit::prop::Ctx;
 
@@ -84,9 +86,10 @@ impl CaseOutcome {
         }
     }
 
-    fn with_fuel_saved(mut self, saved: u64) -> Self {
-        self.fuel_saved = Some(saved);
-        self
+    /// A lockstep divergence: the rendered forensics, and the boot
+    /// retires its anchored replay skipped.
+    fn diverged(cov: CovSnap, layer: &str, fx: &Forensics) -> Self {
+        CaseOutcome { fuel_saved: fx.replay_anchor, ..CaseOutcome::fail(cov, layer, fx.render()) }
     }
 }
 
@@ -168,6 +171,9 @@ impl CompilerTarget {
     }
 }
 
+/// Retire budget of one compiled program.
+const T2_FUEL: u64 = 100_000_000;
+
 impl Target for CompilerTarget {
     fn name(&self) -> &'static str {
         self.name
@@ -204,17 +210,7 @@ impl Target for CompilerTarget {
             Ok(c) => c,
             Err(e) => return CaseOutcome::fail(cov, "compile", format!("{e}\n{src}")),
         };
-        let mut s = ag32::State::new();
-        s.mem.write_bytes(layout.code_base, &compiled.code);
-        s.mem.write_word(
-            layout.halt_addr,
-            ag32::encode(ag32::Instr::Jump {
-                func: ag32::Func::Add,
-                w: ag32::Reg::new(0),
-                a: ag32::Ri::Imm(0),
-            }),
-        );
-        s.pc = layout.code_base;
+        let mut s = pure_image(&compiled);
 
         // On the jet family the run is the theorem-J lockstep of jet and
         // the reference (its state is the reference side's, equal to
@@ -222,7 +218,7 @@ impl Target for CompilerTarget {
         // this family is throughput-oriented.
         let layer = if self.jet {
             let mut ls = jet::Lockstep::new(&s, 1, 0);
-            ls.run(100_000_000);
+            ls.run(T2_FUEL);
             if let Err(fx) = ls.finish() {
                 let message = format!("{}\nfor:\n{src}", fx.render());
                 return CaseOutcome::fail(cov, "jet vs isa", message);
@@ -230,22 +226,20 @@ impl Target for CompilerTarget {
             s = ls.capture();
             "jet"
         } else {
-            s.run_traced(100_000_000, &mut cov.edges);
+            s.run_traced(T2_FUEL, &mut cov.edges);
             "isa"
         };
         cov.stats = s.stats.clone();
-        if !s.is_halted() {
-            return CaseOutcome::fail(cov, layer, format!("compiled code did not halt\n{src}"));
-        }
-        let got = s.mem.read_word(layout.exit_code_addr) as u8;
-        if got != spec {
-            return CaseOutcome::fail(
-                cov,
-                &format!("{layer} vs source"),
-                format!("exit {got} vs {spec} for:\n{src}"),
-            );
-        }
-        CaseOutcome::pass(cov)
+        let got = match classify_exit(&s, &layout, s.instructions_retired < T2_FUEL) {
+            ExitStatus::Exited(got) if got == spec => return CaseOutcome::pass(cov),
+            ExitStatus::OutOfFuel => {
+                return CaseOutcome::fail(cov, layer, format!("compiled code did not halt\n{src}"))
+            }
+            ExitStatus::Exited(got) => format!("exit {got}"),
+            other => format!("{other:?}"),
+        };
+        let message = format!("{got} vs exit {spec} for:\n{src}");
+        CaseOutcome::fail(cov, &format!("{layer} vs source"), message)
     }
 }
 
@@ -283,46 +277,19 @@ impl Target for LockstepTarget {
             silver_cpu(),
             &state,
             max_instructions,
-            cfg.clone(),
+            cfg,
             max_cycles,
             &mut cov,
         );
-        let mut fx = match verdict {
-            Ok(_) => return CaseOutcome::pass(cov),
-            Err(fx) => fx,
-        };
         // The report carries the divergence forensics (divergent retire
         // and cycle, retire tails on both sides, register deltas, a VCD
-        // window) into the failure record and, after triage shrinks it,
-        // the minimal counterexample. Checkpoint-anchored triage: replay
-        // from the last 64-retire boundary at or before the divergent
-        // retire instead of from reset. The ISA prefix is deterministic,
-        // so the anchor state is exactly what a rolling checkpoint would
-        // have captured there.
-        let anchor =
-            fx.divergent_step.map(|d| d - d % 64).filter(|&a| a > 0 && a < max_instructions);
-        if let Some(anchor) = anchor {
-            let mut pre = state.clone();
-            pre.run(anchor);
-            let replay = silver::check_lockstep(
-                silver_cpu(),
-                &pre,
-                max_instructions - anchor,
-                cfg,
-                max_cycles,
-                &mut NoTrace,
-            );
-            fx.replay_anchor = Some(anchor);
-            fx.notes.push(format!(
-                "checkpoint-anchored replay from retire {anchor}: {} (saved {anchor} boot retires)",
-                if replay.is_err() {
-                    "reproduced"
-                } else {
-                    "not reproduced (environment-schedule dependent; replay from boot)"
-                }
-            ));
+        // window and the verdict of the replay from the last anchor
+        // before the divergence) into the failure record and, after
+        // triage shrinks it, the minimal counterexample.
+        match verdict {
+            Ok(_) => CaseOutcome::pass(cov),
+            Err(fx) => CaseOutcome::diverged(cov, "rtl vs isa", &fx),
         }
-        CaseOutcome { fuel_saved: anchor, ..CaseOutcome::fail(cov, "rtl vs isa", fx.render()) }
     }
 }
 
@@ -395,10 +362,10 @@ impl Target for JetTarget {
         let fuel: u64 = ctx.gen_range(50u64..=2000);
 
         // The lockstep runs in quarter-fuel slices through the stack's
-        // run loop, keeping the reference state at each boundary, so a
-        // divergence replays from its anchor — the last verified-good
-        // boundary — instead of from boot. Coverage comes from the same
-        // run: the edges of its reference side, the stats of its end.
+        // run loop, so a divergence is replayed from its anchor — the
+        // last verified-good boundary — instead of from boot. Coverage
+        // comes from the same run: the edges of its reference side, the
+        // stats of its end.
         let mut cov = CovSnap::new();
         let plan = Plan {
             layout: &TargetLayout::default(),
@@ -407,43 +374,14 @@ impl Target for JetTarget {
             fuel,
             every: (fuel / 4).max(1),
         };
-        let mut anchor = LastBoundary(None);
-        match silver::exec::run(state, &plan, &mut anchor, &mut cov.edges) {
+        match silver::exec::run(state, &plan, &mut (), &mut cov.edges) {
             RunEnd::Done(f) => {
                 cov.stats = f.stats;
                 CaseOutcome::pass(cov)
             }
             RunEnd::Stopped(never) => match never {},
-            RunEnd::Diverged(fx) => {
-                let mut message = fx.render();
-                if let Some(anchor) = anchor.0 {
-                    let at = anchor.instructions_retired;
-                    let replay = jet::run_shadow(&anchor, fuel - at, 1, 0);
-                    message.push_str(&format!(
-                        "\nanchored replay from retire {at}: {} (saved {at} boot retires)\n",
-                        if replay.is_err() {
-                            "reproduced"
-                        } else {
-                            "not reproduced (translation-cache history dependent; replay from boot)"
-                        },
-                    ));
-                    return CaseOutcome::fail(cov, "jet vs isa", message).with_fuel_saved(at);
-                }
-                CaseOutcome::fail(cov, "jet vs isa", message)
-            }
+            RunEnd::Diverged(fx) => CaseOutcome::diverged(cov, "jet vs isa", &fx),
         }
-    }
-}
-
-/// Run hooks keeping the machine state at the last slice boundary.
-struct LastBoundary(Option<ag32::State>);
-
-impl Hooks for LastBoundary {
-    type Stop = std::convert::Infallible;
-
-    fn boundary<M: ag32::Machine>(&mut self, m: &M) -> ControlFlow<Self::Stop> {
-        self.0 = Some(m.capture());
-        ControlFlow::Continue(())
     }
 }
 

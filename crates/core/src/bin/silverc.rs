@@ -68,9 +68,10 @@
 //!   events), so resumed stdout is byte-identical to an uninterrupted
 //!   run's.
 //! * with `--shadow`, a configured checkpoint cadence also anchors the
-//!   divergence forensics: a theorem-J violation replays from the last
-//!   good checkpoint instead of from boot, and the anchor state is
-//!   written to the `--checkpoint` file for `--resume`-based triage.
+//!   divergence forensics: the lockstep replays a theorem-J violation
+//!   from the last good boundary instead of from boot, and that anchor
+//!   state is the last one written to the `--checkpoint` file, for
+//!   `--resume`-based triage.
 
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;

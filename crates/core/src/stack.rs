@@ -93,13 +93,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the rolling-checkpoint file (builder style).
-    #[must_use]
-    pub fn checkpoint_to(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some(path.into());
-        self
-    }
-
     /// The run plan for an ISA-level run: the lockstep when shadowing
     /// the jet engine, slices of the checkpoint cadence (one slice when
     /// neither a file nor an interval asks for boundaries).
@@ -473,9 +466,9 @@ impl Stack {
     /// with `tracer` seeing every reference retire and the rolling
     /// checkpoint file rewritten at every boundary. A shadowed jet run
     /// is the lockstep itself: its result is returned only once theorem
-    /// J held over the whole execution, and a divergence is replayed
-    /// from its anchor — the last boundary, also the last checkpoint
-    /// written — to confirm it reproduces there.
+    /// J held over the whole execution, and a divergence comes back
+    /// replayed from its anchor, the last boundary. When that boundary
+    /// is in this run, the anchor is also the last checkpoint written.
     fn run_isa<T: Tracer>(
         &self,
         start: State,
@@ -483,29 +476,14 @@ impl Stack {
         tracer: &mut T,
     ) -> Result<StackResult, StackError> {
         let plan = rc.plan(&self.layout);
-        let mut hooks =
-            Rolling { path: rc.checkpoint.as_deref(), shadowed: plan.shadow.is_some(), anchor: None };
+        let resumed_at = start.instructions_retired;
+        let mut hooks = Rolling { path: rc.checkpoint.as_deref() };
         match silver::exec::run(start, &plan, &mut hooks, tracer) {
             RunEnd::Done(f) => Ok(f.into()),
             RunEnd::Stopped(e) => Err(StackError::Snapshot(e)),
             RunEnd::Diverged(mut fx) => {
-                if let (Some(anchor), Some(sh)) = (hooks.anchor, plan.shadow) {
-                    // The divergent retire is index `step`, so the
-                    // replay must retire `step + 1 − at`; 8 more is slack.
-                    let at = anchor.retired();
-                    let step = fx.divergent_step.unwrap_or(at);
-                    let replay_fuel = (step + 1).saturating_sub(at).saturating_add(8);
-                    let reproduced = jet::run_shadow(&anchor.restore(), replay_fuel, sh.sample, 0)
-                        .is_err();
-                    fx.notes.push(format!(
-                        "checkpoint-anchored replay from retire {at}: {} within {replay_fuel} retires (saved {at} boot retires)",
-                        if reproduced {
-                            "divergence reproduced"
-                        } else {
-                            "not reproduced (translation-cache history dependent; replay from boot)"
-                        },
-                    ));
-                    if let Some(path) = rc.checkpoint.as_deref() {
+                if let (Some(at), Some(path)) = (fx.replay_anchor, hooks.path) {
+                    if at > resumed_at {
                         fx.notes.push(format!(
                             "anchor checkpoint written to {} (resume with --resume to replay)",
                             path.display()
@@ -544,30 +522,19 @@ impl Stack {
 }
 
 /// Rolling-checkpoint hooks for the shared slice loop: rewrite the
-/// checkpoint file (when one is configured) at every boundary, and keep
-/// the last boundary in memory as the divergence anchor of a shadowed
-/// run.
+/// checkpoint file (when one is configured) at every boundary.
 struct Rolling<'a> {
     path: Option<&'a Path>,
-    shadowed: bool,
-    anchor: Option<Snapshot>,
 }
 
 impl Hooks for Rolling<'_> {
     type Stop = SnapshotError;
 
     fn boundary<M: Machine>(&mut self, m: &M) -> ControlFlow<SnapshotError> {
-        if self.path.is_none() && !self.shadowed {
-            return ControlFlow::Continue(());
-        }
-        let snap = Snapshot::capture(m);
         if let Some(path) = self.path {
-            if let Err(e) = snap.write_rolling(path) {
+            if let Err(e) = Snapshot::capture(m).write_rolling(path) {
                 return ControlFlow::Break(e);
             }
-        }
-        if self.shadowed {
-            self.anchor = Some(snap);
         }
         ControlFlow::Continue(())
     }

@@ -26,7 +26,9 @@
 //! * **Shadow mode** ([`Lockstep`]) — runs the reference `Next` in
 //!   lockstep (full, or 1-in-N sampled) and reports the first
 //!   divergence through [`obs::Forensics`]. The lockstep is itself an
-//!   [`ag32::Machine`], so any run loop over the engines drives it.
+//!   [`ag32::Machine`], so any run loop over the engines drives it, and
+//!   it replays a divergence from its last run boundary
+//!   ([`Lockstep::replay`]).
 //!
 //! Following *Sound Transpilation from Binary to Machine-Independent
 //! Code* (Metere et al.) and the differential-testing methodology of

@@ -10,7 +10,9 @@
 //! retires, and memory and the I/O-event traces at the end of the run.
 //! The first divergence yields an [`obs::Forensics`] report: the
 //! divergent retire index (zero-based), every differing field with both
-//! values, and the last retires on each side.
+//! values, and the last retires on each side. [`Lockstep::replay`]
+//! re-runs it from the last run boundary and notes whether it
+//! reproduced there.
 
 use std::collections::VecDeque;
 
@@ -21,6 +23,9 @@ use crate::engine::Jet;
 
 /// How many retires each side keeps for the forensics tail by default.
 const TAIL: usize = 8;
+
+/// Retires a replay may run past the divergent one.
+const REPLAY_SLACK: u64 = 8;
 
 /// Statistics from a clean shadow run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -120,10 +125,11 @@ fn first_mem_delta(spec: &ag32::Memory, imp: &ag32::Memory) -> Option<RegDelta> 
 /// Run boundaries are where a sliced run loop checkpoints: the end of
 /// every [`run`](Machine::run) call that retired its whole budget
 /// without halting or diverging, and the resume point of a lockstep
-/// built from a checkpoint. The last boundary past boot is the
-/// divergence's replay anchor: replaying from the reference state
-/// captured there reaches the divergence in `divergent_step + 1 −
-/// anchor` retires instead of `divergent_step + 1` from boot.
+/// built from a checkpoint. The lockstep keeps the reference state at
+/// the last boundary past boot as the divergence's replay anchor, and
+/// [`Lockstep::replay`] re-runs the divergence from there, in
+/// `divergent_step + 1 − anchor` retires instead of `divergent_step + 1`
+/// from boot.
 pub struct Lockstep<B: Machine = Jet> {
     spec: State,
     imp: B,
@@ -131,7 +137,8 @@ pub struct Lockstep<B: Machine = Jet> {
     /// Retire count the lockstep was built at.
     start: u64,
     full_compares: u64,
-    anchor: Option<u64>,
+    /// The reference state at the last boundary past boot.
+    anchor: Option<State>,
     /// The relation's name and the implementation side's, for reports.
     kind: &'static str,
     side: &'static str,
@@ -168,12 +175,12 @@ impl<B: Machine> Lockstep<B> {
     pub fn over(spec: State, imp: B, sample: u64, kind: &'static str, side: &'static str) -> Self {
         let start = spec.instructions_retired;
         Lockstep {
+            anchor: (start > 0).then(|| spec.clone()),
             spec,
             imp,
             sample,
             start,
             full_compares: 0,
-            anchor: (start > 0).then_some(start),
             kind,
             side,
             tail: TAIL,
@@ -203,8 +210,36 @@ impl<B: Machine> Lockstep<B> {
         fx.spec_tail = self.spec_tail.iter().cloned().collect();
         fx.impl_tail = self.imp_tail.iter().cloned().collect();
         fx.notes.extend(note);
-        fx.replay_anchor = self.anchor;
+        fx.replay_anchor = self.anchor.as_ref().map(|a| a.instructions_retired);
         Box::new(fx)
+    }
+
+    /// Replays `fx`, this lockstep's divergence, from its anchor and
+    /// notes on `fx` whether the divergence reproduced there; does
+    /// nothing without an anchor. `build` makes a fresh implementation
+    /// machine from the anchor state. The replay runs the same relation
+    /// for `divergent_step + 1 − anchor` retires plus [`REPLAY_SLACK`].
+    /// A divergence that does not reproduce depends on history before
+    /// the anchor (jet's translation cache, the circuit's environment
+    /// schedule), so only a replay from boot shows it.
+    pub fn replay<R: Machine>(&self, fx: &mut Forensics, build: impl FnOnce(&State) -> R) {
+        let Some(anchor) = &self.anchor else { return };
+        let at = anchor.instructions_retired;
+        let step = fx.divergent_step.unwrap_or(at);
+        let fuel = (step + 1).saturating_sub(at).saturating_add(REPLAY_SLACK);
+        let imp = build(anchor);
+        let mut replay =
+            Lockstep::over(anchor.clone(), imp, self.sample, self.kind, self.side).with_tail(0);
+        replay.run(fuel);
+        let verdict = if replay.finish().is_err() {
+            format!("divergence reproduced within {fuel} retires (saved {at} boot retires)")
+        } else {
+            format!(
+                "not reproduced within {fuel} retires (depends on history before the anchor; \
+                 replay from boot)"
+            )
+        };
+        fx.notes.push(format!("anchored replay from retire {at}: {verdict}"));
     }
 
     /// One lockstep retire, with `tracer` observing the reference side;
@@ -243,7 +278,7 @@ impl<B: Machine> Lockstep<B> {
             n += 1;
         }
         if n > 0 && n == fuel && !self.is_halted() {
-            self.anchor = Some(self.spec.instructions_retired);
+            self.anchor = Some(self.spec.clone());
         }
         n
     }
@@ -484,6 +519,47 @@ mod tests {
                 assert_eq!(fx.replay_anchor, Some(last), "anchored at the last boundary");
             }
         }
+    }
+
+    /// The replay verdict depends only on the implementation rebuilt at
+    /// the anchor: the same faulty jet reproduces the divergence, a
+    /// correct one does not, and a divergence before the first boundary
+    /// has no anchor to replay from.
+    #[test]
+    fn replay_notes_whether_the_divergence_reproduces() {
+        let mut a = Assembler::new(0);
+        for i in 1..=10 {
+            a.li(Reg::new(i), u32::from(i));
+        }
+        a.normal(Func::Add, Reg::new(11), Ri::Reg(Reg::new(1)), Ri::Reg(Reg::new(2)));
+        a.halt(Reg::new(61));
+        let mut image = State::new();
+        image.mem.write_bytes(0, &a.assemble().expect("assembles"));
+
+        let (_, mut ls) = sliced(Lockstep::new(&image, 1, 1 << 4), 10_000, 4);
+        let fx = ls.finish().expect_err("the ALU fault must be caught");
+        let faulty = |s: &State| {
+            let mut jet = Jet::from_state(s);
+            jet.alu_fault_xor = 1 << 4;
+            jet
+        };
+        let mut same = fx.clone();
+        ls.replay(&mut same, faulty);
+        let note = "anchored replay from retire 8: divergence reproduced within 11 retires \
+                    (saved 8 boot retires)";
+        assert_eq!(same.notes.last().map(String::as_str), Some(note));
+        let mut clean = fx.clone();
+        ls.replay(&mut clean, Jet::from_state);
+        assert!(
+            clean.notes.last().is_some_and(|n| n.contains(": not reproduced within 11")),
+            "{:?}",
+            clean.notes
+        );
+
+        let (_, mut early) = sliced(Lockstep::new(&image, 1, 1 << 4), 10_000, 1_000);
+        let mut fx = early.finish().expect_err("the ALU fault must be caught");
+        early.replay(&mut fx, faulty);
+        assert!(fx.notes.is_empty(), "no anchor, no replay");
     }
 
     /// An early divergence (before the first boundary) reports no

@@ -74,12 +74,6 @@ impl<W: Write> VcdWriter<W> {
         id
     }
 
-    /// Number of declared signals.
-    #[must_use]
-    pub fn signal_count(&self) -> usize {
-        self.signals.len()
-    }
-
     /// Writes the VCD header, scoping every signal under `scope`.
     ///
     /// # Errors

@@ -55,7 +55,7 @@ use testkit::pool::{PushError, WorkQueue, WorkerCtl, WorkerPool};
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref};
-use crate::tenant::{AdmitError, TenantPolicy, TenantTable};
+use crate::tenant::{AdmitError, TenantTable};
 use crate::{ServiceConfig, ShadowPolicy};
 
 /// Why the service refused a job at the door.
@@ -446,12 +446,6 @@ impl Service {
     #[must_use]
     pub fn tenant_snapshot(&self) -> Vec<(String, u64, u64, usize)> {
         self.inner.tenants.snapshot()
-    }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn tenant_policy(&self) -> TenantPolicy {
-        *self.inner.tenants.policy()
     }
 
     /// The span tree of job `job_id`, if it is still in the bounded

@@ -129,12 +129,6 @@ impl TenantTable {
         rows.sort();
         rows
     }
-
-    /// The policy in force.
-    #[must_use]
-    pub fn policy(&self) -> &TenantPolicy {
-        &self.policy
-    }
 }
 
 #[cfg(test)]

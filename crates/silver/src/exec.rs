@@ -8,9 +8,11 @@
 //! [`basis::finished`]. [`run`] is that loop, and the only place that
 //! turns an [`Engine`] choice into a machine — the reference
 //! interpreter, the jet engine, or the [`Lockstep`] of both when the
-//! run is shadowed. A new engine is a new `Machine` impl plus one match
-//! arm here; checkpointing, shadowing, migration and serving come with
-//! it.
+//! run is shadowed. A shadowed run that diverges is replayed from the
+//! lockstep's anchor, its last boundary, so every caller gets the
+//! replay verdict in the forensics. A new engine is a new `Machine`
+//! impl plus one match arm here; checkpointing, shadowing, migration
+//! and serving come with it.
 //!
 //! An [`ag32::Tracer`] passed to [`run`] sees the run's reference
 //! retires, so an observed run executes once: the reference
@@ -68,8 +70,10 @@ pub enum RunEnd<S> {
     Done(Finished),
     /// A hook stopped the run at a boundary, with what it returned.
     Stopped(S),
-    /// The lockstep caught jet diverging from the reference; the
-    /// forensics name the last boundary as the replay anchor.
+    /// The lockstep caught jet diverging from the reference. The
+    /// forensics name the last boundary as the replay anchor and note
+    /// whether the divergence reproduced when replayed from there
+    /// ([`Lockstep::replay`]) with the same [`Shadow`] settings.
     Diverged(Box<Forensics>),
 }
 
@@ -88,7 +92,8 @@ pub trait Hooks {
         ControlFlow::Continue(())
     }
 
-    /// Wraps the lockstep's end-of-run verdict (shadowed runs only).
+    /// Wraps the lockstep's end-of-run verdict, including the anchored
+    /// replay of a divergence (shadowed runs only).
     ///
     /// # Errors
     ///
@@ -99,6 +104,11 @@ pub trait Hooks {
     ) -> Result<ShadowReport, Box<Forensics>> {
         check()
     }
+}
+
+/// No hooks: the run cannot stop early.
+impl Hooks for () {
+    type Stop = std::convert::Infallible;
 }
 
 /// Runs `start` — a boot image or a restored checkpoint — as `plan`
@@ -116,7 +126,17 @@ pub fn run<H: Hooks, T: Tracer>(
             if let ControlFlow::Break(stop) = sliced {
                 return RunEnd::Stopped(stop);
             }
-            match hooks.shadow_check(|| ls.finish()) {
+            let verdict = hooks.shadow_check(|| {
+                ls.finish().map_err(|mut fx| {
+                    ls.replay(&mut fx, |anchor| {
+                        let mut jet = Jet::from_state(anchor);
+                        jet.alu_fault_xor = sh.fault_xor;
+                        jet
+                    });
+                    fx
+                })
+            });
+            match verdict {
                 Ok(_) => RunEnd::Done(finished(&ls, plan.layout, plan.fuel)),
                 Err(fx) => RunEnd::Diverged(fx),
             }

@@ -8,7 +8,9 @@
 //! [`jet::Lockstep`], a retire at a time, and checks the state-equality
 //! relation (`ag32_eq_hol_isa`) for every *n*: PC, all 64 registers,
 //! both flags, the output port and the I/O-event count after every
-//! retire, and the full memory and I/O-event traces at the end.
+//! retire, and the full memory and I/O-event traces at the end. It runs
+//! in 64-retire slices, so a divergence is replayed from the last slice
+//! boundary before it on a fresh circuit ([`Lockstep::replay`]).
 //!
 //! Composed with theorem (10), the circuit↔Verilog correspondence
 //! ([`check_cpu_verilog_equiv`](crate::trace::check_cpu_verilog_equiv)),
@@ -22,8 +24,12 @@ use obs::Forensics;
 use rtl::{Circuit, RtlError};
 
 use crate::env::MemEnvConfig;
-use crate::machine::CircuitMachine;
+use crate::machine::{CircuitMachine, NoCycleObserver};
 use crate::trace::{VcdWindow, FORENSIC_TAIL, VCD_WINDOW};
+
+/// Slice length of [`check_lockstep`] in retires: the spacing of its
+/// replay anchors.
+const ANCHOR_EVERY: u64 = 64;
 
 /// Successful lockstep outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +101,10 @@ impl From<RtlError> for LockstepError {
 /// On divergence the report names the divergent retire index and clock
 /// cycle, every differing field, the last [`FORENSIC_TAIL`] retires on
 /// both sides and a VCD window of the last [`VCD_WINDOW`] cycles; a
-/// timeout or simulator failure is a note on it.
+/// timeout or simulator failure is a note on it. Past the first 64
+/// retires it also names the last slice boundary before the divergence
+/// as its replay anchor, and notes whether the divergence reproduced
+/// when replayed from there on a fresh circuit.
 ///
 /// # Errors
 ///
@@ -112,10 +121,17 @@ pub fn check_lockstep<T: Tracer>(
     let mut spec = initial.clone();
     spec.accel = |x| x;
     let window = VcdWindow::new(&circuit, VCD_WINDOW);
-    let imp = CircuitMachine::with_circuit(circuit, initial, cfg, max_cycles, window);
+    let imp = CircuitMachine::with_circuit(circuit, initial, cfg.clone(), max_cycles, window);
     let mut ls =
         Lockstep::over(spec, imp, 1, "t9 ISA\u{2194}RTL lockstep", "rtl").with_tail(FORENSIC_TAIL);
-    ls.run_traced(max_instructions, tracer);
+    let mut left = max_instructions;
+    while left > 0 {
+        let chunk = left.min(ANCHOR_EVERY);
+        if ls.run_traced(chunk, tracer) < chunk {
+            break;
+        }
+        left -= chunk;
+    }
     let verdict = ls.finish();
     let imp = ls.imp();
     match verdict {
@@ -124,6 +140,10 @@ pub fn check_lockstep<T: Tracer>(
             fx.divergent_cycle = Some(imp.cycles());
             fx.vcd_window = imp.observer().render("silver_cpu");
             fx.notes.extend(imp.error().map(ToString::to_string));
+            ls.replay(&mut fx, |anchor| {
+                let circuit = imp.circuit().clone();
+                CircuitMachine::with_circuit(circuit, anchor, cfg, max_cycles, NoCycleObserver)
+            });
             Err(fx)
         }
     }

@@ -201,6 +201,12 @@ impl<O> CircuitMachine<O> {
         self.observer
     }
 
+    /// The circuit being clocked.
+    #[must_use]
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
     /// The circuit's signal state.
     #[must_use]
     pub fn rtl_state(&self) -> &RtlState {

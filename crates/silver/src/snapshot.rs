@@ -584,16 +584,6 @@ impl Snapshot {
         Ok(Snapshot { state, engine, fs })
     }
 
-    /// Writes the snapshot to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] when the write fails.
-    pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
-    }
-
     /// Writes the snapshot via a `.tmp` sibling plus rename, so a crash
     /// mid-write never leaves a torn checkpoint where the previous good
     /// one was — the rolling-checkpoint write path.

@@ -1,12 +1,18 @@
 //! Observability is trustworthy: VCD dumps of a fixed RTL run are
 //! byte-stable (golden file), and an injected implementation bug is
 //! caught by the per-retire lockstep with a report naming the divergent
-//! retire, the differing register, and both retire tails.
+//! retire, the differing register, both retire tails and, past the
+//! first boundary, whether a replay from that anchor reproduces it.
+
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 use ag32::asm::Assembler;
-use ag32::{Func, Machine, NoTrace, Reg, Ri, State};
+use ag32::{Engine, Func, Machine, NoTrace, Reg, Ri, State};
+use basis::TargetLayout;
 use rtl::ast::{word, Circuit, RExpr, RStmt};
 use silver::env::{Latency, MemEnvConfig};
+use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::check_lockstep;
 use silver::machine::NoCycleObserver;
 use silver::trace::{Vcd, FORENSIC_TAIL};
@@ -190,6 +196,33 @@ fn injected_t9_bug_yields_forensics() {
 /// exactly the last `FORENSIC_TAIL` on each side.
 #[test]
 fn forensic_tails_are_bounded() {
+    let (circuit, s) = late_magic_write(30);
+    let fx = check_lockstep(circuit, &s, 1000, cfg_fixed(0), 1_000_000, &mut NoTrace)
+        .expect_err("sabotaged CPU must diverge");
+    assert!(fx.divergent_step.unwrap() as usize > FORENSIC_TAIL, "{}", fx.render());
+    assert_eq!(fx.spec_tail.len(), FORENSIC_TAIL, "spec tail capped");
+    assert_eq!(fx.impl_tail.len(), FORENSIC_TAIL, "impl tail capped");
+}
+
+/// A divergence past the first 64-retire slice is anchored at the last
+/// slice boundary before it and replayed from there on a fresh circuit,
+/// which reproduces a fault of the circuit itself.
+#[test]
+fn lockstep_replays_a_late_divergence_from_its_anchor() {
+    let (circuit, s) = late_magic_write(15);
+    let fx = check_lockstep(circuit, &s, 1000, cfg_fixed(0), 1_000_000, &mut NoTrace)
+        .expect_err("sabotaged CPU must diverge");
+    assert_eq!(fx.divergent_step, Some(77), "{}", fx.render());
+    assert_eq!(fx.replay_anchor, Some(64), "{}", fx.render());
+    let note = "anchored replay from retire 64: divergence reproduced within 22 retires \
+                (saved 64 boot retires)";
+    assert!(fx.notes.iter().any(|n| n == note), "{}", fx.render());
+}
+
+/// A circuit whose register file stores `0xBAD1` for `0xBAD0`, and a
+/// program that writes `0xBAD0` at retire `2 + 5 * rounds`, after a
+/// counted loop of five retires a round.
+fn late_magic_write(rounds: u32) -> (Circuit, State) {
     let mut circuit = silver_cpu();
     let mut flipped = 0;
     for p in &mut circuit.processes {
@@ -199,19 +232,55 @@ fn forensic_tails_are_bounded() {
     let mut a = Assembler::new(0);
     let r = Reg::new;
     a.li(r(1), 0);
-    a.li(r(2), 30);
+    a.li(r(2), rounds);
     a.label("loop");
     a.normal(Func::Add, r(1), Ri::Reg(r(1)), Ri::Imm(1));
     a.normal(Func::Dec, r(2), Ri::Imm(0), Ri::Reg(r(2)));
     a.branch_nonzero_sub(Ri::Reg(r(2)), Ri::Imm(0), "loop", r(60));
-    a.li(r(3), 0xBAD0); // the faulty write, after ~90 good retires
+    a.li(r(3), 0xBAD0); // the faulty write
     a.halt(r(61));
-    let s = state_with_code(0, &a.assemble().unwrap());
-    let fx = check_lockstep(circuit, &s, 1000, cfg_fixed(0), 1_000_000, &mut NoTrace)
-        .expect_err("sabotaged CPU must diverge");
-    assert!(fx.divergent_step.unwrap() as usize > FORENSIC_TAIL, "{}", fx.render());
-    assert_eq!(fx.spec_tail.len(), FORENSIC_TAIL, "spec tail capped");
-    assert_eq!(fx.impl_tail.len(), FORENSIC_TAIL, "impl tail capped");
+    (circuit, state_with_code(0, &a.assemble().unwrap()))
+}
+
+/// A shadowed run through the shared run loop, sliced every 4 retires,
+/// whose injected jet fault first bites at retire 10: the forensics
+/// name the last boundary (8) as the replay anchor, and the replay from
+/// there with the same [`Shadow`] settings reproduces the divergence.
+#[test]
+fn shadowed_run_replays_its_divergence_from_the_last_boundary() {
+    struct Boundaries(Vec<u64>);
+    impl Hooks for Boundaries {
+        type Stop = Infallible;
+        fn boundary<M: Machine>(&mut self, m: &M) -> ControlFlow<Infallible> {
+            self.0.push(m.retired());
+            ControlFlow::Continue(())
+        }
+    }
+
+    let mut a = Assembler::new(0);
+    for i in 1..=10 {
+        a.li(Reg::new(i), u32::from(i)); // LoadConstant: unaffected by the ALU fault
+    }
+    a.normal(Func::Add, Reg::new(11), Ri::Reg(Reg::new(1)), Ri::Reg(Reg::new(2)));
+    a.halt(Reg::new(61));
+    let image = state_with_code(0, &a.assemble().unwrap());
+    let plan = Plan {
+        layout: &TargetLayout::default(),
+        engine: Engine::Jet,
+        shadow: Some(Shadow { sample: 1, fault_xor: 1 << 4 }),
+        fuel: 10_000,
+        every: 4,
+    };
+    let mut hooks = Boundaries(Vec::new());
+    let RunEnd::Diverged(fx) = silver::exec::run(image, &plan, &mut hooks, &mut NoTrace) else {
+        panic!("the jet ALU fault must be caught");
+    };
+    assert_eq!(hooks.0, [4, 8]);
+    assert_eq!(fx.divergent_step, Some(10), "{}", fx.render());
+    assert_eq!(fx.replay_anchor, Some(8), "{}", fx.render());
+    let note = "anchored replay from retire 8: divergence reproduced within 11 retires \
+                (saved 8 boot retires)";
+    assert!(fx.notes.iter().any(|n| n == note), "{}", fx.render());
 }
 
 /// Rewrites only the register-file writes of `0xBAD0` to store `0xBAD1`

@@ -180,12 +180,6 @@ impl<T> WorkQueue<T> {
         self.can_push.notify_all();
     }
 
-    /// Whether [`close`](WorkQueue::close) has been called.
-    #[must_use]
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("queue lock").closed
-    }
-
     /// Items currently queued.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -315,18 +309,6 @@ impl<T: Send + 'static> WorkerPool<T> {
             }
             None => false,
         }
-    }
-
-    /// Workers whose threads have finished (stopped, crashed, or exited
-    /// on queue close) but have not been joined yet.
-    #[must_use]
-    pub fn finished_workers(&self) -> Vec<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.handle.as_ref().is_some_and(JoinHandle::is_finished))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Worker slots ever spawned (including stopped/joined ones).

@@ -49,12 +49,6 @@ impl TestRng {
         TestRng { s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()] }
     }
 
-    /// Seeds from `TESTKIT_SEED` (decimal or `0x…`), falling back to the
-    /// fixed default so runs are deterministic without configuration.
-    #[must_use]
-    pub fn from_env() -> Self {
-        TestRng::seed_from_u64(crate::master_seed())
-    }
 }
 
 impl Rng for TestRng {

@@ -310,9 +310,9 @@ if grep -q 'shadow: Some' crates/bench/benches/engines.rs; then
     exit 1
 fi
 # And shadow mode must actually be exercised where checking happens:
-# the engine tests and the t-jet campaign target.
+# the engine tests and the t-jet campaign target's run plan.
 grep -q 'run_shadow' tests/engines.rs
-grep -q 'run_shadow' crates/campaign/src/targets.rs
+grep -q 'shadow: Some(Shadow' crates/campaign/src/targets.rs
 echo "ok: ref engine default, shadow off by default but exercised in checks"
 
 echo "== engine layering guard =="
@@ -367,7 +367,22 @@ if grep -rnE 'observes_both_levels|ForensicConfig|fn run_lockstep\b|check_cpu_ve
     echo "a second circuit observer or theorem entry point reappeared; use silver::check_lockstep / check_cpu_verilog_equiv" >&2
     exit 1
 fi
-echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate"
+# A divergence is replayed once, by the lockstep from its own anchor
+# (jet::Lockstep::replay): no caller keeps boundary states or runs a
+# second lockstep to replay one.
+if grep -rnE 'struct LastBoundary\b' --include='*.rs' crates tests examples \
+    || grep -rnE 'run_shadow\(' --include='*.rs' crates/core/src crates/campaign/src crates/service/src; then
+    echo "a caller-side divergence replay reappeared; use jet::Lockstep::replay" >&2
+    exit 1
+fi
+# The exit slot is read only by the exit classifier (and written only by
+# the image builder, the compiler and the oracle).
+if grep -rn 'exit_code_addr' --include='*.rs' crates tests examples \
+    | grep -vE '^crates/(basis|cakeml)/'; then
+    echo "the exit slot is touched outside crates/{basis,cakeml}; use basis::classify_exit" >&2
+    exit 1
+fi
+echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate, one divergence replay"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read
