@@ -9,10 +9,13 @@
 //!   lowering),
 //! * self- and mutual tail calls reuse the caller's return address
 //!   (`CompilerConfig::tail_calls`), making loops run in constant stack,
-//! * allocation is inline bump allocation against a limit register; the
-//!   out-of-memory path exits cleanly with [`EXIT_OOM`](crate::ast::EXIT_OOM),
-//!   which is precisely the behaviour the paper's `extend_with_oom`
-//!   accommodates (§2.3, §6.1).
+//! * every allocation site (`alloc_const` for fixed-size blocks,
+//!   `emit_alloc_bytes` for byte blocks) calls the runtime allocator
+//!   `rt_alloc`, which bumps the heap pointer against a limit register
+//!   and, on exhaustion, runs the Cheney collector first when it is
+//!   enabled (`CompilerConfig::gc`); the out-of-memory path exits cleanly
+//!   with [`EXIT_OOM`](crate::ast::EXIT_OOM), which is precisely the
+//!   behaviour the paper's `extend_with_oom` accommodates (§2.3, §6.1).
 //!
 //! # Value representation
 //!
@@ -23,17 +26,20 @@
 //!
 //! # Register conventions
 //!
-//! | regs   | use                                   |
-//! |--------|---------------------------------------|
-//! | r1–r5  | arguments / result / codegen scratch  |
-//! | r6     | environment argument                  |
-//! | r7–r12 | runtime-routine internals             |
-//! | r56    | HP (bump pointer)                     |
-//! | r57    | HL (heap limit)                       |
-//! | r58    | SP (stack pointer, grows down)        |
-//! | r59–61 | assembler/codegen scratch             |
-//! | r62    | link register                         |
-//! | r63    | runtime scratch                       |
+//! | regs    | use                                        |
+//! |---------|--------------------------------------------|
+//! | r1–r5   | arguments / result / codegen scratch       |
+//! | r6      | environment argument                       |
+//! | r7–r12  | runtime-routine internals                  |
+//! | r13–r31 | GC and runtime temporaries (`R13`…`R31`)   |
+//! | r32–r54 | unused                                     |
+//! | r55     | `GC_LINK` (the collector's return address) |
+//! | r56     | HP (bump pointer)                          |
+//! | r57     | HL (heap limit)                            |
+//! | r58     | SP (stack pointer, grows down)             |
+//! | r59–61  | assembler/codegen scratch                  |
+//! | r62     | link register                              |
+//! | r63     | runtime scratch                            |
 
 use std::collections::HashMap;
 

@@ -217,7 +217,7 @@ impl Target for CompilerTarget {
         // jet's once the lockstep passed); edge coverage stays empty —
         // this family is throughput-oriented.
         let layer = if self.jet {
-            let mut ls = jet::Lockstep::new(&s, 1, 0);
+            let mut ls = jet::Lockstep::new(&s, 0);
             ls.run(T2_FUEL);
             if let Err(fx) = ls.finish() {
                 let message = format!("{}\nfor:\n{src}", fx.render());
@@ -370,7 +370,7 @@ impl Target for JetTarget {
         let plan = Plan {
             layout: &TargetLayout::default(),
             engine: ag32::Engine::Jet,
-            shadow: Some(Shadow { sample: 1, fault_xor: 0 }),
+            shadow: Some(Shadow { fault_xor: 0 }),
             fuel,
             every: (fuel / 4).max(1),
         };

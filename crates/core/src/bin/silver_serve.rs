@@ -2,11 +2,11 @@
 //!
 //! ```sh
 //! silver-serve (--unix PATH | --tcp ADDR) [--shards N] [--queue N]
-//!              [--cache N] [--shadow-every N] [--shadow-sample N]
-//!              [--checkpoint-every N] [--engine ref|jet]
-//!              [--tenant-fuel N] [--tenant-depth N] [--max-job-fuel N]
-//!              [--bench FILE] [--stats-every MS] [--trace-dir DIR]
-//!              [--trace-cap N] [--flight-cap N] [--fault-xor HEX]
+//!              [--cache N] [--shadow-every N] [--checkpoint-every N]
+//!              [--engine ref|jet] [--tenant-fuel N] [--tenant-depth N]
+//!              [--max-job-fuel N] [--bench FILE] [--stats-every MS]
+//!              [--trace-dir DIR] [--trace-cap N] [--flight-cap N]
+//!              [--fault-xor HEX]
 //! ```
 //!
 //! Accepts compile+run jobs over the length-prefixed wire protocol
@@ -35,7 +35,7 @@ use service::{serve, Endpoint, Engine, Service, ServiceConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: silver-serve (--unix PATH | --tcp ADDR) [--shards N] [--queue N] [--cache N]\n\
-         \x20                  [--shadow-every N] [--shadow-sample N] [--checkpoint-every N]\n\
+         \x20                  [--shadow-every N] [--checkpoint-every N]\n\
          \x20                  [--engine ref|jet] [--tenant-fuel N] [--tenant-depth N]\n\
          \x20                  [--max-job-fuel N] [--bench FILE] [--stats-every MS]\n\
          \x20                  [--trace-dir DIR] [--trace-cap N] [--flight-cap N]\n\
@@ -62,8 +62,7 @@ fn parse_args() -> Options {
             "--shards" => opts.cfg.shards = num(args.next()).max(1) as usize,
             "--queue" => opts.cfg.queue_depth = num(args.next()).max(1) as usize,
             "--cache" => opts.cfg.cache_capacity = num(args.next()) as usize,
-            "--shadow-every" => opts.cfg.shadow.every_jobs = num(args.next()),
-            "--shadow-sample" => opts.cfg.shadow.sample = num(args.next()).max(1),
+            "--shadow-every" => opts.cfg.shadow_every_jobs = num(args.next()),
             "--checkpoint-every" => opts.cfg.checkpoint_every = num(args.next()).max(1),
             "--engine" => {
                 opts.cfg.default_engine = match need(args.next()).as_str() {
@@ -81,7 +80,7 @@ fn parse_args() -> Options {
             "--trace-cap" => opts.cfg.trace_capacity = num(args.next()) as usize,
             "--flight-cap" => opts.cfg.flight_capacity = num(args.next()).max(1) as usize,
             // Fault injection for divergence drills (tests/CI only):
-            // XORed into one ALU result inside sampled shadow checks.
+            // XORed into the jet side's ALU results inside shadow checks.
             "--fault-xor" => {
                 opts.cfg.fault_xor =
                     u32::from_str_radix(need(args.next()).trim_start_matches("0x"), 16)
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
         "silver-serve: listening on {endpoint} ({} shards, engine {}, shadow every {} jobs)",
         opts.cfg.shards,
         opts.cfg.default_engine.name(),
-        opts.cfg.shadow.every_jobs,
+        opts.cfg.shadow_every_jobs,
     );
     match serve(&svc, &endpoint, opts.bench.as_deref()) {
         Ok(()) => {

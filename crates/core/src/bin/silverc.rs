@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! silverc prog.cml [--backend isa|rtl|verilog] [--engine ref|jet]
-//!         [--shadow] [--shadow-every N] [--arg ARG]...
+//!         [--shadow] [--arg ARG]...
 //!         [--stdin FILE] [--gc] [--no-tail-calls] [--no-direct-calls]
 //!         [--stats] [--trace] [--trace-syscalls] [--vcd FILE]
 //!         [--profile FILE]
@@ -22,9 +22,8 @@
 //! `Next` semantics, roughly an order of magnitude faster. `--shadow`
 //! additionally runs the reference interpreter in lockstep and aborts
 //! with a forensics report on the first divergence (theorem J as a
-//! runtime check); `--shadow-every N` compares the full register file
-//! only every N retires (the PC still every retire) for a cheaper
-//! check.
+//! runtime check, comparing the architectural state after every
+//! retire).
 //!
 //! `--stats` prints the retired-instruction count, the clock-cycle
 //! count (circuit backends), and — on the ISA backend — a per-opcode
@@ -83,7 +82,7 @@ struct Options {
     file: String,
     backend: Backend,
     engine: Engine,
-    shadow: Option<u64>,
+    shadow: bool,
     args: Vec<String>,
     stdin: Vec<u8>,
     stats: bool,
@@ -100,7 +99,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: silverc FILE [--backend isa|rtl|verilog] [--engine ref|jet] \
-         [--shadow] [--shadow-every N] [--arg ARG]... \
+         [--shadow] [--arg ARG]... \
          [--stdin FILE|-] [--gc] [--no-tail-calls] [--no-direct-calls] [--no-const-fold] \
          [--stats] [--trace] [--trace-syscalls] [--vcd FILE] [--profile FILE|-] \
          [--checkpoint FILE] [--checkpoint-every N]\n\
@@ -116,7 +115,7 @@ fn parse_args() -> Options {
         file: String::new(),
         backend: Backend::Isa,
         engine: Engine::Ref,
-        shadow: None,
+        shadow: false,
         args: Vec::new(),
         stdin: Vec::new(),
         stats: false,
@@ -146,11 +145,7 @@ fn parse_args() -> Options {
                     _ => usage(),
                 }
             }
-            "--shadow" => opts.shadow = Some(1),
-            "--shadow-every" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n > 0 => opts.shadow = Some(n),
-                _ => usage(),
-            },
+            "--shadow" => opts.shadow = true,
             "--arg" => match args.next() {
                 Some(v) => opts.args.push(v),
                 None => usage(),
@@ -226,7 +221,7 @@ fn parse_args() -> Options {
         eprintln!("silverc: --checkpoint requires --backend isa");
         std::process::exit(2);
     }
-    if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() && opts.shadow.is_none() {
+    if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() && !opts.shadow {
         eprintln!("silverc: --checkpoint-every requires --checkpoint or --shadow");
         std::process::exit(2);
     }
@@ -246,8 +241,8 @@ fn parse_args() -> Options {
         eprintln!("silverc: --engine jet requires --backend isa");
         std::process::exit(2);
     }
-    if opts.shadow.is_some() && opts.engine != Engine::Jet {
-        eprintln!("silverc: --shadow/--shadow-every require --engine jet");
+    if opts.shadow && opts.engine != Engine::Jet {
+        eprintln!("silverc: --shadow requires --engine jet");
         std::process::exit(2);
     }
     opts

@@ -48,14 +48,13 @@ pub struct RunConfig {
     pub env: MemEnvConfig,
     /// ISA-layer implementation ([`Backend::Isa`] only).
     pub engine: Engine,
-    /// Shadow-mode differential checking for [`Engine::Jet`]:
-    /// `Some(1)` runs the reference interpreter in lockstep and
-    /// compares the full architectural state after every retire,
-    /// `Some(n)` compares every `n` retires (the PC still every
-    /// retire), `None` (default) runs the jet engine alone. A
-    /// divergence surfaces as [`StackError::Divergence`] carrying the
-    /// forensics report. Ignored for [`Engine::Ref`].
-    pub shadow: Option<u64>,
+    /// Shadow-mode differential checking for [`Engine::Jet`]: `true`
+    /// runs the reference interpreter in lockstep and compares the
+    /// architectural state after every retire; `false` (default) runs
+    /// the jet engine alone. A divergence surfaces as
+    /// [`StackError::Divergence`] carrying the forensics report.
+    /// Ignored for [`Engine::Ref`].
+    pub shadow: bool,
     /// Rolling-checkpoint file for [`Backend::Isa`] runs: every
     /// [`RunConfig::checkpoint_interval`] retires the run's snapshot is
     /// rewritten here (atomically, via a temp sibling + rename), so a
@@ -77,7 +76,7 @@ impl Default for RunConfig {
             max_cycles: 4_000_000_000,
             env: MemEnvConfig { mem_latency: Latency::Fixed(0), ..MemEnvConfig::default() },
             engine: Engine::Ref,
-            shadow: None,
+            shadow: false,
             checkpoint: None,
             checkpoint_interval: None,
         }
@@ -105,10 +104,7 @@ impl RunConfig {
         Plan {
             layout,
             engine: self.engine,
-            shadow: self
-                .shadow
-                .filter(|_| self.engine == Engine::Jet)
-                .map(|sample| Shadow { sample, fault_xor: 0 }),
+            shadow: (self.shadow && self.engine == Engine::Jet).then_some(Shadow { fault_xor: 0 }),
             fuel: self.fuel,
             every,
         }

@@ -24,11 +24,11 @@
 //!   code-adjacent pages); stores into the *currently executing* block
 //!   abort the block mid-flight and force a re-decode.
 //! * **Shadow mode** ([`Lockstep`]) — runs the reference `Next` in
-//!   lockstep (full, or 1-in-N sampled) and reports the first
-//!   divergence through [`obs::Forensics`]. The lockstep is itself an
-//!   [`ag32::Machine`], so any run loop over the engines drives it, and
-//!   it replays a divergence from its last run boundary
-//!   ([`Lockstep::replay`]).
+//!   lockstep, compares the architectural state after every retire,
+//!   and reports the first divergence through [`obs::Forensics`]. The
+//!   lockstep is itself an [`ag32::Machine`], so any run loop over the
+//!   engines drives it, and it replays a divergence from its last run
+//!   boundary ([`Lockstep::replay`]).
 //!
 //! Following *Sound Transpilation from Binary to Machine-Independent
 //! Code* (Metere et al.) and the differential-testing methodology of
@@ -71,8 +71,8 @@
 //! assert_eq!(j.regs[1], 10);
 //!
 //! // The same run as an executable theorem-J obligation.
-//! let report = jet::run_shadow(&image, 1_000, 1, 0).unwrap();
-//! assert!(report.retired > 0);
+//! let retired = jet::run_shadow(&image, 1_000, 0).unwrap();
+//! assert!(retired > 0);
 //! ```
 
 pub mod block;
@@ -82,4 +82,4 @@ pub mod shadow;
 
 pub use engine::{Jet, JetCounters};
 pub use mem::JetMemory;
-pub use shadow::{run_shadow, Lockstep, ShadowReport};
+pub use shadow::{run_shadow, Lockstep};

@@ -5,36 +5,24 @@
 //! an implementation [`Machine`] — the [`Jet`] engine (theorem J) or the
 //! Silver CPU circuit (theorem (9), built by the `silver` crate) — a
 //! retire at a time over the same image. It is itself a [`Machine`], so
-//! any run loop drives, checkpoints and resumes it. The PC is compared
-//! after every retire, the architectural state ([`Arch`]) every `sample`
-//! retires, and memory and the I/O-event traces at the end of the run.
-//! The first divergence yields an [`obs::Forensics`] report: the
-//! divergent retire index (zero-based), every differing field with both
-//! values, and the last retires on each side. [`Lockstep::replay`]
+//! any run loop drives, checkpoints and resumes it. The architectural
+//! state ([`Arch`], PC included) is compared after every retire, and
+//! memory and the I/O-event traces at the end of the run. The first
+//! divergence yields an [`obs::Forensics`] report: the divergent retire
+//! index (zero-based), every differing field with both values, and the
+//! last [`obs::FORENSIC_TAIL`] retires on each side. [`Lockstep::replay`]
 //! re-runs it from the last run boundary and notes whether it
 //! reproduced there.
 
 use std::collections::VecDeque;
 
 use ag32::{decode, Arch, Engine, ExecStats, IoEvent, Machine, NoTrace, State, Tracer};
-use obs::{Forensics, RegDelta};
+use obs::{push_tail, Forensics, RegDelta};
 
 use crate::engine::Jet;
 
-/// How many retires each side keeps for the forensics tail by default.
-const TAIL: usize = 8;
-
 /// Retires a replay may run past the divergent one.
 const REPLAY_SLACK: u64 = 8;
-
-/// Statistics from a clean shadow run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShadowReport {
-    /// Instructions retired (identically on both sides).
-    pub retired: u64,
-    /// How many full register-file comparisons were performed.
-    pub full_compares: u64,
-}
 
 fn hex(v: u32) -> String {
     format!("{v:#010x}")
@@ -44,13 +32,6 @@ fn hex(v: u32) -> String {
 fn tail_line<M: Machine>(m: &M) -> String {
     let pc = m.pc();
     format!("#{} {} {}", m.retired(), hex(pc), decode(m.read_word(pc & !3)))
-}
-
-fn push_tail(tail: &mut VecDeque<String>, cap: usize, line: String) {
-    if tail.len() == cap {
-        tail.pop_front();
-    }
-    tail.push_back(line);
 }
 
 /// Every architectural field that differs, with both values.
@@ -125,24 +106,22 @@ fn first_mem_delta(spec: &ag32::Memory, imp: &ag32::Memory) -> Option<RegDelta> 
 /// Run boundaries are where a sliced run loop checkpoints: the end of
 /// every [`run`](Machine::run) call that retired its whole budget
 /// without halting or diverging, and the resume point of a lockstep
-/// built from a checkpoint. The lockstep keeps the reference state at
-/// the last boundary past boot as the divergence's replay anchor, and
-/// [`Lockstep::replay`] re-runs the divergence from there, in
-/// `divergent_step + 1 − anchor` retires instead of `divergent_step + 1`
-/// from boot.
+/// built from a checkpoint. Every retire up to a boundary was compared,
+/// so each boundary is a verified-good state. The lockstep keeps the
+/// reference state at the last boundary past boot as the divergence's
+/// replay anchor, and [`Lockstep::replay`] re-runs the divergence from
+/// there, in `divergent_step + 1 − anchor` retires instead of
+/// `divergent_step + 1` from boot.
 pub struct Lockstep<B: Machine = Jet> {
     spec: State,
     imp: B,
-    sample: u64,
     /// Retire count the lockstep was built at.
     start: u64,
-    full_compares: u64,
     /// The reference state at the last boundary past boot.
     anchor: Option<State>,
     /// The relation's name and the implementation side's, for reports.
     kind: &'static str,
     side: &'static str,
-    tail: usize,
     spec_tail: VecDeque<String>,
     imp_tail: VecDeque<String>,
     divergence: Option<Box<Forensics>>,
@@ -152,50 +131,35 @@ impl Lockstep<Jet> {
     /// A theorem-J lockstep of the reference interpreter and [`Jet`]
     /// over `state` (a boot image or a restored checkpoint).
     ///
-    /// `sample` controls full architectural comparison frequency: `1`
-    /// compares the whole register file after every retire (full
-    /// shadow); `N > 1` every N retires (the PC is still compared on
-    /// every retire); `0` only at the end. `alu_fault_xor` is forwarded
-    /// to [`Jet::alu_fault_xor`] — `0` for a real check; tests pass a
-    /// single bit to prove the oracle catches injected executor bugs.
+    /// `alu_fault_xor` is forwarded to [`Jet::alu_fault_xor`] — `0` for
+    /// a real check; tests pass a single bit to prove the oracle catches
+    /// injected executor bugs.
     #[must_use]
-    pub fn new(state: &State, sample: u64, alu_fault_xor: u32) -> Lockstep {
+    pub fn new(state: &State, alu_fault_xor: u32) -> Lockstep {
         let mut jet = Jet::from_state(state);
         jet.alu_fault_xor = alu_fault_xor;
-        Lockstep::over(state.clone(), jet, sample, "theorem J: jet \u{2261} Next", "jet")
+        Lockstep::over(state.clone(), jet, "theorem J: jet \u{2261} Next", "jet")
     }
 }
 
 impl<B: Machine> Lockstep<B> {
     /// A lockstep of the reference interpreter, started from `spec`,
-    /// against `imp`, which must start in the same state. `sample` is
-    /// as for [`Lockstep::new`]; `kind` names the relation and `side`
-    /// the implementation in forensics reports.
+    /// against `imp`, which must start in the same state. `kind` names
+    /// the relation and `side` the implementation in forensics reports.
     #[must_use]
-    pub fn over(spec: State, imp: B, sample: u64, kind: &'static str, side: &'static str) -> Self {
+    pub fn over(spec: State, imp: B, kind: &'static str, side: &'static str) -> Self {
         let start = spec.instructions_retired;
         Lockstep {
             anchor: (start > 0).then(|| spec.clone()),
             spec,
             imp,
-            sample,
             start,
-            full_compares: 0,
             kind,
             side,
-            tail: TAIL,
             spec_tail: VecDeque::new(),
             imp_tail: VecDeque::new(),
             divergence: None,
         }
-    }
-
-    /// Keeps the last `n` retires of each side for the forensics tails
-    /// (builder style; `0` keeps none).
-    #[must_use]
-    pub fn with_tail(mut self, n: usize) -> Self {
-        self.tail = n;
-        self
     }
 
     /// The implementation side.
@@ -228,8 +192,7 @@ impl<B: Machine> Lockstep<B> {
         let step = fx.divergent_step.unwrap_or(at);
         let fuel = (step + 1).saturating_sub(at).saturating_add(REPLAY_SLACK);
         let imp = build(anchor);
-        let mut replay =
-            Lockstep::over(anchor.clone(), imp, self.sample, self.kind, self.side).with_tail(0);
+        let mut replay = Lockstep::over(anchor.clone(), imp, self.kind, self.side);
         replay.run(fuel);
         let verdict = if replay.finish().is_err() {
             format!("divergence reproduced within {fuel} retires (saved {at} boot retires)")
@@ -245,23 +208,13 @@ impl<B: Machine> Lockstep<B> {
     /// One lockstep retire, with `tracer` observing the reference side;
     /// `false` once a divergence is recorded.
     fn step<T: Tracer>(&mut self, tracer: &mut T) -> bool {
-        if self.tail > 0 {
-            push_tail(&mut self.spec_tail, self.tail, tail_line(&self.spec));
-            push_tail(&mut self.imp_tail, self.tail, tail_line(&self.imp));
-        }
+        push_tail(&mut self.spec_tail, tail_line(&self.spec));
+        push_tail(&mut self.imp_tail, tail_line(&self.imp));
         self.spec.next_traced(tracer);
         let note = if self.imp.run(1) == 0 {
             Some(format!("{} halted at pc {} but isa retired", self.side, hex(self.imp.pc())))
-        } else if self.imp.pc() == self.spec.pc {
-            let retired = self.spec.instructions_retired - self.start;
-            if self.sample == 0 || !retired.is_multiple_of(self.sample) {
-                return true;
-            }
-            self.full_compares += 1;
-            if self.spec.arch() == self.imp.arch() {
-                return true;
-            }
-            None
+        } else if self.spec.arch() == self.imp.arch() {
+            return true;
         } else {
             None
         };
@@ -289,10 +242,13 @@ impl<B: Machine> Lockstep<B> {
     /// checking that the implementation, too, retires nothing past the
     /// reference halt.
     ///
+    /// Returns the instructions retired since the lockstep was built
+    /// (identically on both sides).
+    ///
     /// # Errors
     ///
     /// The first divergence, as a rendered-ready [`Forensics`] report.
-    pub fn finish(&mut self) -> Result<ShadowReport, Box<Forensics>> {
+    pub fn finish(&mut self) -> Result<u64, Box<Forensics>> {
         if let Some(fx) = self.divergence.take() {
             return Err(fx);
         }
@@ -306,7 +262,6 @@ impl<B: Machine> Lockstep<B> {
             let deltas = arch_deltas(&self.spec.arch(), &self.imp.arch());
             return Err(self.forensics(at, deltas, Some(note)));
         }
-        self.full_compares += 1;
         let imp = self.imp.capture();
         let mut deltas = arch_deltas(&self.spec.arch(), &imp.arch());
         if self.spec.io_events != imp.io_events {
@@ -327,7 +282,7 @@ impl<B: Machine> Lockstep<B> {
             let note = Some("final-state comparison".to_string());
             return Err(self.forensics(at.saturating_sub(1), deltas, note));
         }
-        Ok(ShadowReport { retired: at - self.start, full_compares: self.full_compares })
+        Ok(at - self.start)
     }
 }
 
@@ -375,19 +330,14 @@ impl<B: Machine> Machine for Lockstep<B> {
 }
 
 /// Runs theorem J over `image` for up to `fuel` instructions in one
-/// lockstep slice — see [`Lockstep::new`] for `sample` and
-/// `alu_fault_xor`.
+/// lockstep slice — see [`Lockstep::new`] for `alu_fault_xor` — and
+/// returns the instructions retired.
 ///
 /// # Errors
 ///
 /// The first divergence, as a rendered-ready [`Forensics`] report.
-pub fn run_shadow(
-    image: &State,
-    fuel: u64,
-    sample: u64,
-    alu_fault_xor: u32,
-) -> Result<ShadowReport, Box<Forensics>> {
-    let mut ls = Lockstep::new(image, sample, alu_fault_xor);
+pub fn run_shadow(image: &State, fuel: u64, alu_fault_xor: u32) -> Result<u64, Box<Forensics>> {
+    let mut ls = Lockstep::new(image, alu_fault_xor);
     ls.run(fuel);
     ls.finish()
 }
@@ -414,20 +364,13 @@ mod tests {
 
     #[test]
     fn clean_program_passes_full_shadow() {
-        let report = run_shadow(&looped_image(), 10_000, 1, 0).expect("theorem J holds");
-        assert!(report.retired > 50);
-        assert_eq!(report.full_compares, report.retired + 1);
-    }
-
-    #[test]
-    fn sampled_shadow_still_checks_every_pc() {
-        let report = run_shadow(&looped_image(), 10_000, 16, 0).expect("theorem J holds");
-        assert!(report.full_compares < report.retired);
+        let retired = run_shadow(&looped_image(), 10_000, 0).expect("theorem J holds");
+        assert!(retired > 50);
     }
 
     #[test]
     fn injected_fault_is_caught_with_divergent_retire_named() {
-        let fx = run_shadow(&looped_image(), 10_000, 1, 1 << 7)
+        let fx = run_shadow(&looped_image(), 10_000, 1 << 7)
             .expect_err("a one-bit ALU fault must be caught");
         assert!(fx.divergent_step.is_some(), "forensics names the divergent retire");
         assert!(!fx.deltas.is_empty());
@@ -451,6 +394,33 @@ mod tests {
         (boundaries, ls)
     }
 
+    /// Retire index of the one ALU op in [`li_then_add`].
+    const ADD_RETIRE: u64 = 10;
+
+    /// The ALU fault the tests inject.
+    const FAULT: u32 = 1 << 4;
+
+    /// Ten `li`s (`LoadConstant`, which the injected ALU fault leaves
+    /// alone), then one `Add` at retire [`ADD_RETIRE`], then a halt.
+    fn li_then_add() -> State {
+        let mut a = Assembler::new(0);
+        for i in 1..=10 {
+            a.li(Reg::new(i), u32::from(i));
+        }
+        a.normal(Func::Add, Reg::new(11), Ri::Reg(Reg::new(1)), Ri::Reg(Reg::new(2)));
+        a.halt(Reg::new(61));
+        let mut image = State::new();
+        image.mem.write_bytes(0, &a.assemble().expect("assembles"));
+        image
+    }
+
+    /// A jet with [`FAULT`] injected, for replays.
+    fn faulty(s: &State) -> Jet {
+        let mut jet = Jet::from_state(s);
+        jet.alu_fault_xor = FAULT;
+        jet
+    }
+
     fn same_end(a: &State, b: &State) -> bool {
         a.isa_visible_eq(b) && a.instructions_retired == b.instructions_retired && a.stats == b.stats
     }
@@ -468,17 +438,7 @@ mod tests {
     /// the last boundary as its anchor.
     #[test]
     fn anchored_divergence_carries_a_replayable_checkpoint() {
-        let mut a = Assembler::new(0);
-        for i in 1..=10 {
-            a.li(Reg::new(i), u32::from(i)); // LoadConstant: unaffected by the ALU fault
-        }
-        a.normal(Func::Add, Reg::new(11), Ri::Reg(Reg::new(1)), Ri::Reg(Reg::new(2)));
-        a.halt(Reg::new(61));
-        let mut image = State::new();
-        image.mem.write_bytes(0, &a.assemble().expect("assembles"));
-
-        let fault = 1 << 4;
-        let (boundaries, mut ls) = sliced(Lockstep::new(&image, 1, fault), 10_000, 4);
+        let (boundaries, mut ls) = sliced(Lockstep::new(&li_then_add(), FAULT), 10_000, 4);
         let fx = ls.finish().expect_err("the ALU fault must be caught");
         let step = fx.divergent_step.expect("divergent retire named");
         let anchor = boundaries.last().expect("divergence is past the first boundary");
@@ -489,31 +449,31 @@ mod tests {
         // divergence within the remaining fuel — and without the fault
         // the anchor is a clean state (theorem J holds from there).
         let remaining = step - anchor.instructions_retired + 8;
-        run_shadow(anchor, remaining, 1, fault)
+        run_shadow(anchor, remaining, FAULT)
             .expect_err("replay from the anchor reproduces the divergence");
-        run_shadow(anchor, 10_000, 1, 0).expect("anchor itself is a good state");
+        run_shadow(anchor, 10_000, 0).expect("anchor itself is a good state");
 
         let image = looped_image();
-        let mut whole = Lockstep::new(&image, 1, 0);
+        let mut whole = Lockstep::new(&image, 0);
         whole.run(10_000);
         let end = whole.capture();
         let report = whole.finish().expect("theorem J holds");
         let alu = |s: &State| s.stats.opcode_retired[ag32::Opcode::Normal as usize];
         for every in [1, 7, 16] {
-            let (boundaries, mut ls) = sliced(Lockstep::new(&image, 1, 0), 10_000, every);
+            let (boundaries, mut ls) = sliced(Lockstep::new(&image, 0), 10_000, every);
             assert!(same_end(&ls.capture(), &end), "slices of {every} end like one run");
             assert_eq!(ls.finish().expect("theorem J holds"), report);
             assert!(!boundaries.is_empty());
             for b in &boundaries {
-                let (_, mut resumed) = sliced(Lockstep::new(b, 1, 0), 10_000, every);
+                let (_, mut resumed) = sliced(Lockstep::new(b, 0), 10_000, every);
                 assert!(same_end(&resumed.capture(), &end), "resume from {}", b.instructions_retired);
-                let resumed_report = resumed.finish().expect("theorem J holds after resume");
-                assert_eq!(resumed_report.retired, report.retired - b.instructions_retired);
+                let resumed_retired = resumed.finish().expect("theorem J holds after resume");
+                assert_eq!(resumed_retired, report - b.instructions_retired);
 
                 if alu(b) == alu(&end) {
                     continue; // no ALU op left for the fault to bite
                 }
-                let (later, mut faulty) = sliced(Lockstep::new(b, 1, 1 << 3), 10_000, every);
+                let (later, mut faulty) = sliced(Lockstep::new(b, 1 << 3), 10_000, every);
                 let fx = faulty.finish().expect_err("a fault after the resume point is caught");
                 let last = later.last().unwrap_or(b).instructions_retired;
                 assert_eq!(fx.replay_anchor, Some(last), "anchored at the last boundary");
@@ -522,27 +482,12 @@ mod tests {
     }
 
     /// The replay verdict depends only on the implementation rebuilt at
-    /// the anchor: the same faulty jet reproduces the divergence, a
-    /// correct one does not, and a divergence before the first boundary
-    /// has no anchor to replay from.
+    /// the anchor: the same faulty jet reproduces the divergence and a
+    /// correct one does not.
     #[test]
     fn replay_notes_whether_the_divergence_reproduces() {
-        let mut a = Assembler::new(0);
-        for i in 1..=10 {
-            a.li(Reg::new(i), u32::from(i));
-        }
-        a.normal(Func::Add, Reg::new(11), Ri::Reg(Reg::new(1)), Ri::Reg(Reg::new(2)));
-        a.halt(Reg::new(61));
-        let mut image = State::new();
-        image.mem.write_bytes(0, &a.assemble().expect("assembles"));
-
-        let (_, mut ls) = sliced(Lockstep::new(&image, 1, 1 << 4), 10_000, 4);
+        let (_, mut ls) = sliced(Lockstep::new(&li_then_add(), FAULT), 10_000, 4);
         let fx = ls.finish().expect_err("the ALU fault must be caught");
-        let faulty = |s: &State| {
-            let mut jet = Jet::from_state(s);
-            jet.alu_fault_xor = 1 << 4;
-            jet
-        };
         let mut same = fx.clone();
         ls.replay(&mut same, faulty);
         let note = "anchored replay from retire 8: divergence reproduced within 11 retires \
@@ -555,18 +500,42 @@ mod tests {
             "{:?}",
             clean.notes
         );
+    }
 
-        let (_, mut early) = sliced(Lockstep::new(&image, 1, 1 << 4), 10_000, 1_000);
-        let mut fx = early.finish().expect_err("the ALU fault must be caught");
-        early.replay(&mut fx, faulty);
-        assert!(fx.notes.is_empty(), "no anchor, no replay");
+    /// Every retire up to a boundary was compared, so every anchor is a
+    /// verified-good state: at any slice length the divergence is named
+    /// at the faulted `Add` itself, the anchor is the last positive
+    /// boundary at or before it, and replaying the same fault from
+    /// there reproduces the divergence.
+    #[test]
+    fn every_anchor_is_verified_good() {
+        let image = li_then_add();
+        for every in [1, 3, 8, 64] {
+            let (_, mut ls) = sliced(Lockstep::new(&image, FAULT), 10_000, every);
+            let mut fx = ls.finish().expect_err("the ALU fault must be caught");
+            assert_eq!(fx.divergent_step, Some(ADD_RETIRE), "slices of {every}");
+            let anchor = Some(ADD_RETIRE / every * every).filter(|&a| a > 0);
+            assert_eq!(fx.replay_anchor, anchor, "slices of {every}");
+            ls.replay(&mut fx, faulty);
+            match anchor {
+                Some(at) => {
+                    let verdict = format!("anchored replay from retire {at}: divergence reproduced");
+                    assert!(
+                        fx.notes.last().is_some_and(|n| n.starts_with(&verdict)),
+                        "slices of {every}: {:?}",
+                        fx.notes
+                    );
+                }
+                None => assert!(fx.notes.is_empty(), "slices of {every}: no anchor, no replay"),
+            }
+        }
     }
 
     /// An early divergence (before the first boundary) reports no
     /// anchor rather than a stale one.
     #[test]
     fn divergence_before_first_boundary_has_no_anchor() {
-        let (boundaries, mut ls) = sliced(Lockstep::new(&looped_image(), 1, 1), 10_000, 1_000);
+        let (boundaries, mut ls) = sliced(Lockstep::new(&looped_image(), 1), 10_000, 1_000);
         assert!(boundaries.is_empty());
         let fx = ls.finish().expect_err("an always-on ALU fault diverges immediately");
         assert_eq!(fx.replay_anchor, None);

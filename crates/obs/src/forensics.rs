@@ -13,7 +13,21 @@
 //! failure messages, survive triage shrinking, and end up in terminal
 //! scrollback — see the worked read-through in `EXPERIMENTS.md`.
 
+use std::collections::VecDeque;
 use std::fmt;
+
+/// Last-N retired instructions (or, for theorem (10), cycles) a
+/// forensics report keeps on each side.
+pub const FORENSIC_TAIL: usize = 32;
+
+/// Appends `line` to a forensics tail, dropping the oldest line once
+/// the tail holds [`FORENSIC_TAIL`].
+pub fn push_tail(tail: &mut VecDeque<String>, line: String) {
+    if tail.len() == FORENSIC_TAIL {
+        tail.pop_front();
+    }
+    tail.push_back(line);
+}
 
 /// One architectural field that differs at the divergent step.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -35,7 +35,7 @@ pub mod profile;
 pub mod trace;
 pub mod vcd;
 
-pub use forensics::{Forensics, RegDelta};
+pub use forensics::{push_tail, Forensics, RegDelta, FORENSIC_TAIL};
 pub use metrics::{quantile_sorted, Counter, Gauge, Histogram, Registry};
 pub use profile::CycleProfiler;
 pub use trace::{chrome_trace_json, FlightRecorder, JobTrace, SpanKind, TraceBuilder};

@@ -31,7 +31,7 @@
 //! `tests/checkpoint.rs`, promoted to live job migration.
 //!
 //! Safety defaults are deliberate and guarded by CI:
-//! * shadow sampling is **on** by default (`every_jobs: 8`);
+//! * shadow sampling is **on** by default (`shadow_every_jobs: 8`);
 //! * a cached result is **never** served without a cache-version check
 //!   ([`cache::ResultCache::lookup`]).
 
@@ -54,30 +54,6 @@ pub use net::{serve, Endpoint};
 pub use server::{RejectReason, Service};
 pub use tenant::{AdmitError, TenantPolicy, TenantTable};
 
-/// Shadow-sampling policy: every `every_jobs`-th executed job runs as
-/// the lockstep of the reference interpreter and jet, which checks
-/// theorem J over its whole execution and serves the lockstep's own
-/// result (`0` disables sampling; jobs can still force a check via
-/// [`ShadowPref::Always`]). `sample` is the in-run cadence of full
-/// architectural comparisons (the PC is compared on every retire
-/// regardless).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShadowPolicy {
-    /// Shadow-check every Nth executed job (0 = off).
-    pub every_jobs: u64,
-    /// Full register-file comparison every N retires within a check.
-    pub sample: u64,
-}
-
-impl Default for ShadowPolicy {
-    fn default() -> ShadowPolicy {
-        // Shadow sampling defaults ON: serving jet-by-default is only
-        // safe while theorem J keeps being spot-checked in production.
-        // (scripts/ci.sh pins this default.)
-        ShadowPolicy { every_jobs: 8, sample: 64 }
-    }
-}
-
 /// Service construction knobs.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
@@ -87,8 +63,12 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Shadow-sampling policy.
-    pub shadow: ShadowPolicy,
+    /// Shadow sampling: every Nth executed job runs as the lockstep of
+    /// the reference interpreter and jet, which checks theorem J after
+    /// every retire of its whole execution and serves the lockstep's
+    /// own result (`0` disables sampling; jobs can still force a check
+    /// via [`ShadowPref::Always`]).
+    pub shadow_every_jobs: u64,
     /// Rolling-checkpoint cadence in retires (also the migration
     /// granularity: a stop is noticed at the next boundary).
     pub checkpoint_every: u64,
@@ -125,7 +105,10 @@ impl Default for ServiceConfig {
             shards: 4,
             queue_depth: 256,
             cache_capacity: 256,
-            shadow: ShadowPolicy::default(),
+            // Shadow sampling defaults ON: serving jet-by-default is
+            // only safe while theorem J keeps being spot-checked in
+            // production. (scripts/ci.sh pins this default.)
+            shadow_every_jobs: 8,
             checkpoint_every: 100_000,
             tenant: TenantPolicy::default(),
             default_engine: Engine::Jet,

@@ -12,7 +12,7 @@
 //!    against the tenant's policy, then the job is enqueued on the
 //!    bounded work queue (back-pressure: a full queue rejects).
 //! 4. A **worker** compiles and runs the job in checkpoint-sized
-//!    slices ([`silver::exec::run`]). Every `shadow.every_jobs`-th
+//!    slices ([`silver::exec::run`]). Every `shadow_every_jobs`-th
 //!    executed job runs as the lockstep of the reference interpreter
 //!    and jet (theorem J checked on every retire) and returns the
 //!    lockstep's own result; a divergence fails the job with forensics
@@ -45,7 +45,6 @@ use std::time::Instant;
 use ag32::{Engine, Machine, NoTrace, State};
 use basis::{build_image, ExitStatus, Finished};
 use cakeml::{compile_source, CompilerConfig, TargetLayout};
-use jet::ShadowReport;
 use obs::metrics::Registry;
 use obs::trace::{chrome_trace_json, FlightRecorder, JobTrace, SpanId, SpanKind, TraceBuilder};
 use obs::Forensics;
@@ -56,7 +55,7 @@ use testkit::pool::{PushError, WorkQueue, WorkerCtl, WorkerPool};
 use crate::cache::{CacheStats, ResultCache};
 use crate::job::{job_key, EnginePref, JobOutcome, JobSpec, JobStatus, ShadowPref};
 use crate::tenant::{AdmitError, TenantTable};
-use crate::{ServiceConfig, ShadowPolicy};
+use crate::ServiceConfig;
 
 /// Why the service refused a job at the door.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -172,7 +171,7 @@ struct Inner {
     /// Admission sequence: the service-global logical clock that names
     /// jobs (`job_id`) and orders them causally.
     admit_seq: AtomicU64,
-    /// Executed-job counter driving `every_jobs` shadow sampling.
+    /// Executed-job counter driving `shadow_every_jobs` sampling.
     shadow_seq: AtomicU64,
     /// Total rolling checkpoints captured (also the clock for the
     /// deterministic kill tripwire).
@@ -356,11 +355,9 @@ impl Service {
         };
         let shadowed = match spec.shadow {
             ShadowPref::Always => true,
-            ShadowPref::Default => match inner.cfg.shadow {
-                ShadowPolicy { every_jobs: 0, .. } => false,
-                ShadowPolicy { every_jobs, .. } => {
-                    inner.shadow_seq.fetch_add(1, Ordering::Relaxed) % every_jobs == 0
-                }
+            ShadowPref::Default => match inner.cfg.shadow_every_jobs {
+                0 => false,
+                every => inner.shadow_seq.fetch_add(1, Ordering::Relaxed) % every == 0,
             },
         };
 
@@ -687,8 +684,8 @@ impl Hooks for JobHooks<'_> {
 
     fn shadow_check(
         &mut self,
-        check: impl FnOnce() -> Result<ShadowReport, Box<Forensics>>,
-    ) -> Result<ShadowReport, Box<Forensics>> {
+        check: impl FnOnce() -> Result<u64, Box<Forensics>>,
+    ) -> Result<u64, Box<Forensics>> {
         let span = self.tb.begin(SpanKind::ShadowCheck, 0, self.inner.wall_us());
         let verdict = check();
         self.tb.end(span, u64::from(verdict.is_err()), self.inner.wall_us());
@@ -725,10 +722,7 @@ fn handle_job(inner: &Arc<Inner>, ctl: &WorkerCtl, mut job: Pending) {
             let plan = Plan {
                 layout: &inner.layout,
                 engine: job.engine,
-                shadow: job.shadowed.then(|| Shadow {
-                    sample: inner.cfg.shadow.sample.max(1),
-                    fault_xor: inner.cfg.fault_xor,
-                }),
+                shadow: job.shadowed.then_some(Shadow { fault_xor: inner.cfg.fault_xor }),
                 fuel: job.spec.fuel,
                 every: inner.cfg.checkpoint_every,
             };

@@ -14,8 +14,7 @@
 use std::time::{Duration, Instant};
 
 use service::{
-    Engine, EnginePref, JobOutcome, JobSpec, JobStatus, Service, ServiceConfig, ShadowPolicy,
-    ShadowPref,
+    Engine, EnginePref, JobOutcome, JobSpec, JobStatus, Service, ServiceConfig, ShadowPref,
 };
 
 const SORT: &str = r#"
@@ -50,7 +49,7 @@ fn cfg() -> ServiceConfig {
         // No sampling: a sampled job would run as the lockstep, and the
         // engine tests below must exercise the engine they name.
         // Shadowed runs ask for it per job (`ShadowPref::Always`).
-        shadow: ShadowPolicy { every_jobs: 0, ..ShadowPolicy::default() },
+        shadow_every_jobs: 0,
         ..ServiceConfig::default()
     }
 }
@@ -142,7 +141,7 @@ fn killed_shadowed_job_resumes_in_lockstep() {
     // fault bites in the resumed segment.
     let faulty = ServiceConfig {
         checkpoint_every: 8,
-        shadow: ShadowPolicy { every_jobs: 1, sample: 1 },
+        shadow_every_jobs: 1,
         fault_xor: 1,
         ..cfg()
     };

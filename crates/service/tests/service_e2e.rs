@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
+use basis::build_image;
+use cakeml::{compile_source, CompilerConfig, TargetLayout};
 use service::{
     serve, Client, Endpoint, Engine, EnginePref, JobSpec, JobStatus, RejectReason, Service,
-    ServiceConfig, ShadowPolicy, ShadowPref, TenantPolicy,
+    ServiceConfig, ShadowPref, TenantPolicy,
 };
 
 const HELLO: &str = r#"
@@ -89,9 +91,9 @@ fn engines_agree_byte_for_byte_and_share_the_cache_key() {
 
 #[test]
 fn shadow_sampling_runs_and_finds_no_divergence() {
-    // every_jobs = 1: every executed job is shadow-checked.
+    // shadow_every_jobs = 1: every executed job is shadow-checked.
     let svc = Service::start(ServiceConfig {
-        shadow: ShadowPolicy { every_jobs: 1, sample: 1 },
+        shadow_every_jobs: 1,
         ..cfg()
     });
     let out = svc.submit(sort_spec("t", b"b\na\n")).expect("admitted");
@@ -106,7 +108,7 @@ fn shadow_sampling_runs_and_finds_no_divergence() {
 
     // ShadowPref::Always forces a check even when sampling is off.
     let svc = Service::start(ServiceConfig {
-        shadow: ShadowPolicy { every_jobs: 0, sample: 1 },
+        shadow_every_jobs: 0,
         ..cfg()
     });
     let mut spec = hello_spec("t");
@@ -116,6 +118,34 @@ fn shadow_sampling_runs_and_finds_no_divergence() {
     let plain = svc.submit(hello_spec("u")).expect("admitted");
     assert!(plain.cached, "forced-shadow result still lands in the shared cache");
     svc.shutdown();
+}
+
+/// A shadowed job on the default configuration names the retire where
+/// jet's faulted ALU result first differs — the step `jet::run_shadow`
+/// reports on the job's own image — not a later retire where the wrong
+/// value happens to reach the PC. (Hello's first ALU op is retire 14,
+/// and its wrong value does not reach the PC before retire 63.)
+#[test]
+fn shadow_divergence_names_the_faulted_retire() {
+    let fault = 1;
+    let svc = Service::start(ServiceConfig { fault_xor: fault, ..ServiceConfig::default() });
+    let mut spec = hello_spec("t");
+    spec.shadow = ShadowPref::Always;
+    let out = svc.submit(spec.clone()).expect("admitted");
+    svc.shutdown();
+    assert_eq!(out.status, JobStatus::Divergence, "{out:?}");
+
+    let compiled = compile_source(&spec.source, TargetLayout::default(), &CompilerConfig::default())
+        .expect("compiles");
+    let args: Vec<&str> = spec.args.iter().map(String::as_str).collect();
+    let image = build_image(&compiled, &args, &spec.stdin).expect("image");
+    let fx = jet::run_shadow(&image, spec.fuel, fault).expect_err("the jet ALU fault is caught");
+    let step = fx.divergent_step.expect("divergent retire named");
+    assert!(
+        out.message.contains(&format!("divergent step: {step} (retire index)")),
+        "expected step {step}:\n{}",
+        out.message
+    );
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use obs::trace::SpanKind;
-use service::{EnginePref, JobSpec, JobStatus, Service, ServiceConfig, ShadowPolicy};
+use service::{EnginePref, JobSpec, JobStatus, Service, ServiceConfig};
 
 const SORT: &str = r#"
 val input = read_all ();
@@ -48,7 +48,7 @@ fn trace_covers_the_full_job_lifecycle() {
     let svc = Service::start(ServiceConfig {
         shards: 1,
         checkpoint_every: 10_000,
-        shadow: ShadowPolicy { every_jobs: 1, sample: 64 },
+        shadow_every_jobs: 1,
         ..ServiceConfig::default()
     });
     let out = svc.submit(sort_spec("t")).expect("admitted");
@@ -125,7 +125,7 @@ fn canonical_traces_are_byte_identical_across_runs() {
         let svc = Service::start(ServiceConfig {
             shards: 2,
             checkpoint_every: 10_000,
-            shadow: ShadowPolicy { every_jobs: 2, sample: 64 },
+            shadow_every_jobs: 2,
             ..ServiceConfig::default()
         });
         let mut specs = vec![
@@ -158,7 +158,7 @@ fn shadow_divergence_dumps_the_flight_recorder() {
     let dir = scratch_dir("divergence");
     let svc = Service::start(ServiceConfig {
         shards: 1,
-        shadow: ShadowPolicy { every_jobs: 1, sample: 1 },
+        shadow_every_jobs: 1,
         trace_dir: Some(dir.clone()),
         fault_xor: 1, // flips one ALU bit inside the shadow check
         ..ServiceConfig::default()

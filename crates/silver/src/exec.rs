@@ -33,15 +33,13 @@ use std::ops::ControlFlow;
 
 use ag32::{Engine, Machine, State, Tracer};
 use basis::{finished, Finished, TargetLayout};
-use jet::{Jet, Lockstep, ShadowReport};
+use jet::{Jet, Lockstep};
 use obs::Forensics;
 
-/// Lockstep shadowing of a run against the reference interpreter.
+/// Lockstep shadowing of a run against the reference interpreter,
+/// which compares the architectural state after every retire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Shadow {
-    /// Full register-file comparison every `sample` retires (the PC is
-    /// compared on every retire); see [`Lockstep::new`].
-    pub sample: u64,
     /// Jet fault injection for tests and drills; `0` in real use.
     pub fault_xor: u32,
 }
@@ -92,16 +90,16 @@ pub trait Hooks {
         ControlFlow::Continue(())
     }
 
-    /// Wraps the lockstep's end-of-run verdict, including the anchored
-    /// replay of a divergence (shadowed runs only).
+    /// Wraps the lockstep's end-of-run verdict — the retires it checked,
+    /// or the divergence with its anchored replay (shadowed runs only).
     ///
     /// # Errors
     ///
     /// Whatever `check` reports.
     fn shadow_check(
         &mut self,
-        check: impl FnOnce() -> Result<ShadowReport, Box<Forensics>>,
-    ) -> Result<ShadowReport, Box<Forensics>> {
+        check: impl FnOnce() -> Result<u64, Box<Forensics>>,
+    ) -> Result<u64, Box<Forensics>> {
         check()
     }
 }
@@ -121,7 +119,7 @@ pub fn run<H: Hooks, T: Tracer>(
 ) -> RunEnd<H::Stop> {
     match (plan.shadow, plan.engine) {
         (Some(sh), _) => {
-            let mut ls = Lockstep::new(&start, sh.sample, sh.fault_xor);
+            let mut ls = Lockstep::new(&start, sh.fault_xor);
             let sliced = drive(&mut ls, plan, hooks, |ls, n| ls.run_traced(n, tracer));
             if let ControlFlow::Break(stop) = sliced {
                 return RunEnd::Stopped(stop);

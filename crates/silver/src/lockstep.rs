@@ -25,7 +25,7 @@ use rtl::{Circuit, RtlError};
 
 use crate::env::MemEnvConfig;
 use crate::machine::{CircuitMachine, NoCycleObserver};
-use crate::trace::{VcdWindow, FORENSIC_TAIL, VCD_WINDOW};
+use crate::trace::{VcdWindow, VCD_WINDOW};
 
 /// Slice length of [`check_lockstep`] in retires: the spacing of its
 /// replay anchors.
@@ -93,18 +93,18 @@ impl From<RtlError> for LockstepError {
 /// [`silver_cpu`](crate::silver_cpu), or a fault-injected variant of it
 /// — in lockstep for up to `max_instructions` retires within
 /// `max_cycles` clock cycles, comparing the architectural state after
-/// every retire (`sample = 1`) and memory and the I/O trace at the end.
-/// The ISA-side accelerator is forced to the identity function,
-/// matching the board implementation. `tracer` observes every ISA-side
-/// retire (campaign coverage; [`ag32::NoTrace`] otherwise).
+/// every retire and memory and the I/O trace at the end. The ISA-side
+/// accelerator is forced to the identity function, matching the board
+/// implementation. `tracer` observes every ISA-side retire (campaign
+/// coverage; [`ag32::NoTrace`] otherwise).
 ///
 /// On divergence the report names the divergent retire index and clock
-/// cycle, every differing field, the last [`FORENSIC_TAIL`] retires on
-/// both sides and a VCD window of the last [`VCD_WINDOW`] cycles; a
-/// timeout or simulator failure is a note on it. Past the first 64
-/// retires it also names the last slice boundary before the divergence
-/// as its replay anchor, and notes whether the divergence reproduced
-/// when replayed from there on a fresh circuit.
+/// cycle, every differing field, the last [`obs::FORENSIC_TAIL`]
+/// retires on both sides and a VCD window of the last [`VCD_WINDOW`]
+/// cycles; a timeout or simulator failure is a note on it. Past the
+/// first 64 retires it also names the last slice boundary before the
+/// divergence as its replay anchor, and notes whether the divergence
+/// reproduced when replayed from there on a fresh circuit.
 ///
 /// # Errors
 ///
@@ -122,8 +122,7 @@ pub fn check_lockstep<T: Tracer>(
     spec.accel = |x| x;
     let window = VcdWindow::new(&circuit, VCD_WINDOW);
     let imp = CircuitMachine::with_circuit(circuit, initial, cfg.clone(), max_cycles, window);
-    let mut ls =
-        Lockstep::over(spec, imp, 1, "t9 ISA\u{2194}RTL lockstep", "rtl").with_tail(FORENSIC_TAIL);
+    let mut ls = Lockstep::over(spec, imp, "t9 ISA\u{2194}RTL lockstep", "rtl");
     let mut left = max_instructions;
     while left > 0 {
         let chunk = left.min(ANCHOR_EVERY);
@@ -135,7 +134,7 @@ pub fn check_lockstep<T: Tracer>(
     let verdict = ls.finish();
     let imp = ls.imp();
     match verdict {
-        Ok(report) => Ok(LockstepReport { instructions: report.retired, cycles: imp.cycles() }),
+        Ok(instructions) => Ok(LockstepReport { instructions, cycles: imp.cycles() }),
         Err(mut fx) => {
             fx.divergent_cycle = Some(imp.cycles());
             fx.vcd_window = imp.observer().render("silver_cpu");

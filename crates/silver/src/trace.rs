@@ -13,7 +13,7 @@
 //!   ([`check_lockstep`](crate::lockstep::check_lockstep)) reports, on
 //!   divergence, an [`obs::Forensics`] naming the divergent retire index
 //!   and clock cycle, every differing register, the last
-//!   [`FORENSIC_TAIL`] retired instructions on both sides and a VCD
+//!   [`obs::FORENSIC_TAIL`] retired instructions on both sides and a VCD
 //!   window of the last [`VCD_WINDOW`] cycles. [`check_cpu_verilog_equiv`]
 //!   does the same for theorem (10)'s circuit↔Verilog equivalence.
 //! * **Cycle sampling** — [`PcSampler`] feeds the `pc` signal of every
@@ -34,17 +34,13 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use ag32::State;
-use obs::{CycleProfiler, Forensics, RegDelta, VcdWriter};
+use obs::{push_tail, CycleProfiler, Forensics, RegDelta, VcdWriter};
 use rtl::ast::{Circuit, RTy};
 use rtl::interp::RtlEnv as _;
 
 use crate::cpu::silver_cpu;
 use crate::env::MemEnvConfig;
 use crate::machine::{env_from_isa, CycleObserver, Signals};
-
-/// Last-N retired instructions (or, for theorem (10), cycles) a
-/// forensics report keeps on each side.
-pub const FORENSIC_TAIL: usize = 32;
 
 /// Cycles of waveform a forensics report keeps before the divergence.
 pub const VCD_WINDOW: usize = 16;
@@ -197,13 +193,6 @@ impl CycleObserver for PcSampler {
     }
 }
 
-fn push_capped(tail: &mut VecDeque<String>, line: String) {
-    if tail.len() == FORENSIC_TAIL {
-        tail.pop_front();
-    }
-    tail.push_back(line);
-}
-
 /// A t10 forensics tail line: one side's `pc`/`state`/`retired`.
 fn trail_line(cycle: u64, st: &impl Signals) -> String {
     let (pc, state, retired) = (st.scalar("pc"), st.scalar("state"), st.scalar("retired"));
@@ -222,9 +211,10 @@ fn trail_line(cycle: u64, st: &impl Signals) -> String {
 ///
 /// A boxed [`Forensics`] report for the first signal divergence or
 /// simulator error: the divergent cycle, the differing signal with both
-/// values, the last [`FORENSIC_TAIL`] cycles of `pc`/`state`/`retired`
-/// on both sides and a [`VCD_WINDOW`]-cycle waveform (sampled from the
-/// circuit side) leading into the divergence.
+/// values, the last [`obs::FORENSIC_TAIL`] cycles of
+/// `pc`/`state`/`retired` on both sides and a [`VCD_WINDOW`]-cycle
+/// waveform (sampled from the circuit side) leading into the
+/// divergence.
 pub fn check_cpu_verilog_equiv(
     initial: &State,
     cfg: MemEnvConfig,
@@ -240,8 +230,8 @@ pub fn check_cpu_verilog_equiv(
         cycles,
         |cycle, rtl_st, v_st| {
             window.on_cycle(cycle, rtl_st);
-            push_capped(&mut rtl_tail, trail_line(cycle, rtl_st));
-            push_capped(&mut verilog_tail, trail_line(cycle, v_st));
+            push_tail(&mut rtl_tail, trail_line(cycle, rtl_st));
+            push_tail(&mut verilog_tail, trail_line(cycle, v_st));
         },
     ) {
         Ok(()) => return Ok(()),

@@ -10,12 +10,13 @@ use std::ops::ControlFlow;
 use ag32::asm::Assembler;
 use ag32::{Engine, Func, Machine, NoTrace, Reg, Ri, State};
 use basis::TargetLayout;
+use obs::FORENSIC_TAIL;
 use rtl::ast::{word, Circuit, RExpr, RStmt};
 use silver::env::{Latency, MemEnvConfig};
 use silver::exec::{Hooks, Plan, RunEnd, Shadow};
 use silver::lockstep::check_lockstep;
 use silver::machine::NoCycleObserver;
-use silver::trace::{Vcd, FORENSIC_TAIL};
+use silver::trace::Vcd;
 use silver::{silver_cpu, CircuitMachine};
 
 fn state_with_code(base: u32, code: &[u8]) -> State {
@@ -267,7 +268,7 @@ fn shadowed_run_replays_its_divergence_from_the_last_boundary() {
     let plan = Plan {
         layout: &TargetLayout::default(),
         engine: Engine::Jet,
-        shadow: Some(Shadow { sample: 1, fault_xor: 1 << 4 }),
+        shadow: Some(Shadow { fault_xor: 1 << 4 }),
         fuel: 10_000,
         every: 4,
     };
@@ -356,7 +357,7 @@ fn a_fault_on_the_first_retire_is_step_zero_everywhere() {
     a.normal(Func::Add, r(1), Ri::Imm(1), Ri::Imm(2));
     a.halt(r(5));
     let s = state_with_code(0, &a.assemble().unwrap());
-    let jet = jet::run_shadow(&s, 100, 1, 1).expect_err("the jet ALU fault is caught");
+    let jet = jet::run_shadow(&s, 100, 1).expect_err("the jet ALU fault is caught");
     assert_eq!(jet.divergent_step, Some(0), "{}", jet.render());
     let t9 = check_lockstep(sabotaged_cpu(), &s, 100, cfg_fixed(0), 10_000, &mut NoTrace)
         .expect_err("the circuit fault is caught");

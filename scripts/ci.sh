@@ -249,7 +249,7 @@ echo "== service hygiene guard =="
 # Serving jet-by-default is only safe while shadow sampling defaults ON,
 # and a cached result may never be served without the cache-version
 # check (a stale-schema hit must read as a miss, not a wrong answer).
-grep -q 'every_jobs: 8' crates/service/src/lib.rs
+grep -q 'shadow_every_jobs: 8,' crates/service/src/lib.rs
 grep -q 'entry.version == CACHE_VERSION' crates/service/src/cache.rs
 echo "ok: shadow sampling defaults on; cache lookups are version-checked"
 
@@ -303,7 +303,7 @@ echo "== engine hygiene guard =="
 # production setting, and the fault hook exists only so tests can prove
 # the shadow oracle catches executor bugs.
 grep -q 'engine: Engine::Ref' crates/core/src/stack.rs
-grep -q 'shadow: None,' crates/core/src/stack.rs
+grep -q 'shadow: false,' crates/core/src/stack.rs
 grep -q 'alu_fault_xor: 0' crates/jet/src/engine.rs
 if grep -q 'shadow: Some' crates/bench/benches/engines.rs; then
     echo "benches/engines.rs must not time a shadowed run" >&2
@@ -375,6 +375,17 @@ if grep -rnE 'struct LastBoundary\b' --include='*.rs' crates tests examples \
     echo "a caller-side divergence replay reappeared; use jet::Lockstep::replay" >&2
     exit 1
 fi
+# One lockstep strength: the lockstep compares the architectural state
+# after every retire, so every replay anchor is verified-good. No
+# sampled compare (a `sample` field or parameter, a compare counter, the
+# CLI flags that set it) and no per-caller tail length may come back.
+if grep -rnE -e '--shadow-sample|full_compares|fn with_tail\b' crates tests examples \
+    || grep -nF '"--shadow-every"' crates/core/src/bin/silverc.rs \
+    || grep -nw 'sample' crates/jet/src/shadow.rs crates/silver/src/exec.rs \
+        crates/service/src/lib.rs; then
+    echo "a second lockstep strength reappeared; the lockstep compares every retire" >&2
+    exit 1
+fi
 # The exit slot is read only by the exit classifier (and written only by
 # the image builder, the compiler and the oracle).
 if grep -rn 'exit_code_addr' --include='*.rs' crates tests examples \
@@ -382,7 +393,7 @@ if grep -rn 'exit_code_addr' --include='*.rs' crates tests examples \
     echo "the exit slot is touched outside crates/{basis,cakeml}; use basis::classify_exit" >&2
     exit 1
 fi
-echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate, one divergence replay"
+echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate, one divergence replay, one lockstep strength"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read

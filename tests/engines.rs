@@ -26,7 +26,7 @@ fn workload(name: &str) -> (Vec<&'static str>, &'static [u8]) {
     }
 }
 
-fn rc(engine: Engine, shadow: Option<u64>) -> RunConfig {
+fn rc(engine: Engine, shadow: bool) -> RunConfig {
     RunConfig { engine, shadow, ..RunConfig::default() }
 }
 
@@ -36,10 +36,10 @@ fn every_app_is_byte_identical_across_engines() {
     for &(name, src) in apps::ALL {
         let (args, stdin) = workload(name);
         let reference = stack
-            .run_source(src, &args, stdin, Backend::Isa, &rc(Engine::Ref, None))
+            .run_source(src, &args, stdin, Backend::Isa, &rc(Engine::Ref, false))
             .unwrap_or_else(|e| panic!("{name} on ref engine: {e}"));
         let jet = stack
-            .run_source(src, &args, stdin, Backend::Isa, &rc(Engine::Jet, None))
+            .run_source(src, &args, stdin, Backend::Isa, &rc(Engine::Jet, false))
             .unwrap_or_else(|e| panic!("{name} on jet engine: {e}"));
         assert_eq!(jet.exit_code(), reference.exit_code(), "{name}: exit status");
         assert_eq!(jet.stdout, reference.stdout, "{name}: stdout bytes");
@@ -51,12 +51,12 @@ fn every_app_is_byte_identical_across_engines() {
 
 #[test]
 fn shadow_mode_passes_on_a_real_program() {
-    // Sampled shadow (PC every retire, full register file every 64) on
+    // Shadow (the architectural state compared after every retire) on
     // the sort app: theorem J checked live over a compiled workload.
     let stack = Stack::new();
     let (args, stdin) = workload("sort");
     let r = stack
-        .run_source(apps::SORT, &args, stdin, Backend::Isa, &rc(Engine::Jet, Some(64)))
+        .run_source(apps::SORT, &args, stdin, Backend::Isa, &rc(Engine::Jet, true))
         .expect("shadowed jet run agrees with the reference");
     assert_eq!(r.exit_code(), Some(0));
     assert_eq!(r.stdout_utf8(), "apple\napple\nbanana\ncherry\npear\n");
@@ -71,7 +71,7 @@ fn injected_executor_bug_is_caught_by_shadow_with_forensics() {
     let compiled = stack.compile(apps::WC).expect("compiles");
     let (args, stdin) = workload("wc");
     let image = stack.load(&compiled, &args, stdin).expect("image");
-    let fx = jet::run_shadow(&image, 4_000_000_000, 1, 1 << 5)
+    let fx = jet::run_shadow(&image, 4_000_000_000, 1 << 5)
         .expect_err("a faulty executor must not pass shadow");
     assert!(fx.divergent_step.is_some(), "forensics names the divergent retire");
     assert!(!fx.deltas.is_empty(), "forensics lists differing fields");
@@ -90,7 +90,7 @@ fn divergence_surfaces_as_a_structured_stack_error() {
     let stack = Stack::new();
     let compiled = stack.compile(apps::HELLO).expect("compiles");
     let image = stack.load(&compiled, &["hello"], b"").expect("image");
-    let fx = jet::run_shadow(&image, 4_000_000_000, 1, 1).expect_err("fault caught");
+    let fx = jet::run_shadow(&image, 4_000_000_000, 1).expect_err("fault caught");
     let err = StackError::Divergence(fx);
     let text = err.to_string();
     assert!(text.contains("shadow divergence"), "{text}");
