@@ -36,7 +36,7 @@ impl Engine {
         }
     }
 
-    /// The byte naming the engine in snapshot files and wire frames.
+    /// The byte naming the engine in wire frames.
     #[must_use]
     pub fn code(self) -> u8 {
         match self {
@@ -77,12 +77,10 @@ pub struct Arch {
 }
 
 /// An executable ISA machine: what a run loop, an exit classifier, a
-/// checkpoint writer and a lockstep need to see of an engine.
+/// checkpoint writer and a lockstep need to see of an engine. The trait
+/// says nothing about which engine it is: by theorem J every engine is
+/// the same machine, and [`Machine::capture`] is its state.
 pub trait Machine {
-    /// The engine whose state [`Machine::capture`] returns — the
-    /// provenance a snapshot records.
-    const ENGINE: Engine;
-
     /// Runs up to `fuel` instructions, stopping early when halted or
     /// wedged. Returns instructions retired.
     fn run(&mut self, fuel: u64) -> u64;
@@ -108,13 +106,14 @@ pub trait Machine {
     /// The architectural registers (see [`Arch`]).
     fn arch(&self) -> Arch;
 
-    /// The whole machine state in reference form, for a checkpoint.
+    /// The whole machine state in reference form — all a checkpoint
+    /// holds. Machines at the same point of the same run capture equal
+    /// states whichever engine ran them, so nothing records which one
+    /// did.
     fn capture(&self) -> State;
 }
 
 impl Machine for State {
-    const ENGINE: Engine = Engine::Ref;
-
     fn run(&mut self, fuel: u64) -> u64 {
         State::run(self, fuel)
     }

@@ -45,7 +45,6 @@ pub mod fs;
 pub mod image;
 pub mod machine;
 pub mod oracle;
-pub mod snap;
 pub mod syscalls;
 pub mod trace;
 

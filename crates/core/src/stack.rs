@@ -84,14 +84,6 @@ impl Default for RunConfig {
 }
 
 impl RunConfig {
-    /// Sets the checkpoint cadence (builder style): `n` retires between
-    /// rolling checkpoints / shadow anchors.
-    #[must_use]
-    pub fn checkpoint_every(mut self, n: u64) -> Self {
-        self.checkpoint_interval = Some(n.max(1));
-        self
-    }
-
     /// The run plan for an ISA-level run: the lockstep when shadowing
     /// the jet engine, slices of the checkpoint cadence (one slice when
     /// neither a file nor an interval asks for boundaries).

@@ -25,9 +25,7 @@
 
 use std::collections::HashMap;
 
-use ag32::{
-    alu, decode, shifter, Arch, Engine, ExecStats, IoEvent, Machine, Opcode, State, NUM_REGS,
-};
+use ag32::{alu, decode, shifter, Arch, ExecStats, IoEvent, Machine, Opcode, State, NUM_REGS};
 
 use crate::block::{lower, Block, Op, Src, BLOCK_CAP};
 use crate::mem::JetMemory;
@@ -513,8 +511,6 @@ impl Jet {
 }
 
 impl Machine for Jet {
-    const ENGINE: Engine = Engine::Jet;
-
     fn run(&mut self, fuel: u64) -> u64 {
         Jet::run(self, fuel)
     }

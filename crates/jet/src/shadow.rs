@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use ag32::{decode, Arch, Engine, ExecStats, IoEvent, Machine, NoTrace, State, Tracer};
+use ag32::{decode, Arch, ExecStats, IoEvent, Machine, NoTrace, State, Tracer};
 use obs::{push_tail, Forensics, RegDelta};
 
 use crate::engine::Jet;
@@ -287,9 +287,6 @@ impl<B: Machine> Lockstep<B> {
 }
 
 impl<B: Machine> Machine for Lockstep<B> {
-    /// Captures are of the reference side.
-    const ENGINE: Engine = Engine::Ref;
-
     /// A call that retires its whole budget without halting or
     /// diverging ends on a boundary, which becomes the replay anchor.
     fn run(&mut self, fuel: u64) -> u64 {

@@ -350,7 +350,7 @@ pub struct StatsSnapshot {
     pub divergences: u64,
     /// Checkpoint migrations.
     pub migrations: u64,
-    /// Rolling checkpoints captured.
+    /// Checkpoint boundaries reached.
     pub checkpoints: u64,
 }
 

@@ -18,11 +18,12 @@
 //!    lockstep's own result; a divergence fails the job with forensics
 //!    and is never cached.
 //! 5. A worker stopped mid-job requeues the job *at the front* of the
-//!    queue with its last rolling checkpoint; any worker — including a
-//!    freshly respawned one — resumes it from there. The resumed
-//!    result is byte-identical to an uninterrupted run (the crash-resume
-//!    contract, now as live job migration). A shadowed job resumes as
-//!    a lockstep again, so every segment is checked.
+//!    queue with a checkpoint of the boundary it stopped at; any
+//!    worker — including a freshly respawned one — resumes it from
+//!    there. The resumed result is byte-identical to an uninterrupted
+//!    run (the crash-resume contract, now as live job migration). A
+//!    shadowed job resumes as a lockstep again, so every segment is
+//!    checked.
 //!
 //! Every step above also emits a span into the job's
 //! [`obs::trace::JobTrace`] — admit, cache lookup, tenant reserve,
@@ -173,7 +174,7 @@ struct Inner {
     admit_seq: AtomicU64,
     /// Executed-job counter driving `shadow_every_jobs` sampling.
     shadow_seq: AtomicU64,
-    /// Total rolling checkpoints captured (also the clock for the
+    /// Checkpoint boundaries reached (also the clock for the
     /// deterministic kill tripwire).
     checkpoint_seq: AtomicU64,
     /// Stats-line sequence for the time-series bench lines.
@@ -411,16 +412,17 @@ impl Service {
         idx
     }
 
-    /// Arms the deterministic kill tripwire: the worker that captures
-    /// rolling checkpoint number `current + n` dies right after it
-    /// (requeueing its job). Test hook — production kills go through
+    /// Arms the deterministic kill tripwire: the worker that reaches
+    /// checkpoint boundary number `current + n` dies there (requeueing
+    /// its job with a checkpoint of that boundary). Test hook — production kills go through
     /// [`kill_worker`](Service::kill_worker).
     pub fn inject_kill_after_checkpoints(&self, n: u64) {
         let at = self.inner.checkpoint_seq.load(Ordering::Relaxed) + n;
         self.inner.kill_at_checkpoint.store(at.max(1), Ordering::Relaxed);
     }
 
-    /// Total rolling checkpoints captured so far.
+    /// Checkpoint boundaries reached so far (a checkpoint is captured
+    /// only at the boundary where a job stops).
     #[must_use]
     pub fn checkpoints(&self) -> u64 {
         self.inner.checkpoint_seq.load(Ordering::Relaxed)
@@ -652,9 +654,9 @@ fn boot_image(inner: &Inner, spec: &JobSpec, tb: &mut TraceBuilder) -> Result<St
 }
 
 /// The worker's hooks into the shared slice loop: every slice and
-/// rolling checkpoint lands in the job's trace, a stop request (or the
-/// test tripwire) is honoured at the next boundary by handing back that
-/// boundary's checkpoint, and a shadowed run's end-of-run verdict is
+/// checkpoint boundary lands in the job's trace, a stop request (or the
+/// test tripwire) is honoured at the next boundary by handing back a
+/// checkpoint captured there, and a shadowed run's end-of-run verdict is
 /// the `ShadowCheck` span.
 struct JobHooks<'a> {
     inner: &'a Inner,
@@ -671,12 +673,11 @@ impl Hooks for JobHooks<'_> {
     }
 
     fn boundary<M: Machine>(&mut self, m: &M) -> ControlFlow<Box<Snapshot>> {
-        let snap = Snapshot::capture(m);
         self.inner.checkpoint_seq.fetch_add(1, Ordering::Relaxed);
         self.inner.m.checkpoints.inc();
         self.tb.instant(SpanKind::Checkpoint, m.retired(), self.inner.wall_us());
         if self.ctl.stop_requested() || self.inner.tripwire_fired() {
-            ControlFlow::Break(Box::new(snap))
+            ControlFlow::Break(Box::new(Snapshot::capture(m)))
         } else {
             ControlFlow::Continue(())
         }

@@ -16,7 +16,7 @@
 //! circuit's sibling of [`ag32::Tracer`] — as a [`Signals`] reader of
 //! the circuit state, or of the Verilog state when a mirror runs.
 
-use ag32::{Arch, Engine, ExecStats, IoEvent, Machine, Ri, State, NUM_REGS};
+use ag32::{Arch, ExecStats, IoEvent, Machine, Ri, State, NUM_REGS};
 use rtl::interp::{self, RValue, RtlEnv, RtlState};
 use rtl::Circuit;
 use verilog::ast::{Module, ValueOrArray};
@@ -295,9 +295,6 @@ impl<O: CycleObserver> CircuitMachine<O> {
 }
 
 impl<O: CycleObserver> Machine for CircuitMachine<O> {
-    /// Captures are reference-form states.
-    const ENGINE: Engine = Engine::Ref;
-
     fn run(&mut self, fuel: u64) -> u64 {
         let wanted = self.retired.saturating_add(fuel);
         let mut n = 0;

@@ -2,24 +2,24 @@
 //!
 //! A snapshot is the whole observable machine at a retire boundary —
 //! architectural state, sparse memory, the I/O-event trace, the retire
-//! count and per-opcode stats, and optionally the interpreter-level
-//! filesystem model — serialised so that *a resumed run is
-//! indistinguishable from an uninterrupted one*. That is the paper's
+//! count and per-opcode stats: exactly an [`ag32::State`], nothing
+//! about which engine produced it — serialised so that *a resumed run
+//! is indistinguishable from an uninterrupted one*. That is the paper's
 //! layer-equivalence claim restated over serialised state: a checkpoint
 //! taken under the reference interpreter may be resumed under the jet
 //! translation-cache engine and vice versa (theorem J survives a trip
 //! through bytes), which `tests/snapshot_roundtrip.rs` and the `t-snap`
 //! campaign target check continuously.
 //!
-//! # Format v1
+//! # Format v2
 //!
 //! All integers are little-endian; there are no pointers, no
-//! timestamps, and no host-dependent ordering (sparse-memory pages and
-//! file names are written sorted).
+//! timestamps, and no host-dependent ordering (sparse-memory pages are
+//! written sorted).
 //!
 //! ```text
 //! [0..8)    magic  b"SILVSNAP"
-//! [8..12)   u32 format version (currently 1)
+//! [8..12)   u32 format version (currently 2)
 //! [12..20)  u64 FNV-1a checksum of every byte after this field
 //! [20..24)  u32 section count
 //! then      count × { tag: 4 ASCII bytes, u64 offset, u64 len }
@@ -33,15 +33,20 @@
 //! | `CPU ` | pc, data_in, data_out, io_window base+len (u32 each), flags u8 (bit 0 carry, bit 1 overflow), 3 zero pad, 64 × u32 registers |
 //! | `MEM ` | u32 page count, then per page (strictly ascending ids, all-zero pages omitted): u32 id + 4096 bytes |
 //! | `IOEV` | u32 event count, then per event: u32 data_out, u32 window len + bytes |
-//! | `RUN ` | u64 retire count, u8 engine (0 = ref, 1 = jet), 7 zero pad |
+//! | `RUN ` | u64 retire count |
 //! | `STAT` | u32 opcode count (= 16), then per opcode a u64 retire counter |
-//! | `FS  ` | optional; `basis::snap::encode_fs` payload |
+//!
+//! All five sections are mandatory and any other tag is an unknown
+//! section, so a v1 `FS  ` section is rejected even under a v2 header.
+//! v1 files (which also recorded the capturing engine in `RUN `) fail
+//! with [`SnapshotError::BadVersion`].
 //!
 //! Omitting all-zero pages is what makes capture deterministic: the
 //! reference interpreter and the jet engine may materialise different
 //! zero pages along the way (allocation history differs), but their
 //! *semantic* memories agree, so both sides serialise to identical
-//! bytes — asserted by the `t-snap` target on every case.
+//! bytes — asserted, byte for byte, by the `t-snap` target on every
+//! case.
 //!
 //! The accelerator hook (`State::accel`, a bare `fn` pointer) is
 //! deliberately *not* serialised: a pointer is meaningless across
@@ -51,22 +56,20 @@
 
 use std::path::Path;
 
-use ag32::{Engine, ExecStats, IoEvent, Machine, Memory, Opcode, State};
-use basis::FsState;
+use ag32::{ExecStats, IoEvent, Machine, Memory, Opcode, State};
 
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"SILVSNAP";
 
 /// Current format version. Bump deliberately; the golden-fixture test
 /// `tests/snapshot_golden.rs` pins the byte format per version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const TAG_CPU: [u8; 4] = *b"CPU ";
 const TAG_MEM: [u8; 4] = *b"MEM ";
 const TAG_IOEV: [u8; 4] = *b"IOEV";
 const TAG_RUN: [u8; 4] = *b"RUN ";
 const TAG_STAT: [u8; 4] = *b"STAT";
-const TAG_FS: [u8; 4] = *b"FS  ";
 
 /// Every way a snapshot can fail to load (or be written). Corrupt
 /// input of any shape — truncated, bit-flipped, wrong magic, wrong
@@ -148,22 +151,12 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// A run checkpoint: everything needed to resume on either engine.
+/// A run checkpoint: the machine state, which either engine resumes.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The captured machine state, in reference-interpreter form
     /// ([`Machine::capture`]).
     pub state: State,
-    /// Which engine the checkpoint was taken under. Informational:
-    /// either engine can resume either snapshot (that is the point),
-    /// but triage wants to know the provenance of a checkpoint it is
-    /// replaying.
-    pub engine: Engine,
-    /// Interpreter-level filesystem model, for oracle-stepped runs.
-    /// Machine-level runs (everything `silverc` executes) keep the
-    /// external world inside memory + `io_events`, so this stays
-    /// `None` there.
-    pub fs: Option<FsState>,
 }
 
 /// Incremental FNV-1a-64: the snapshot body checksum, and the hash
@@ -251,14 +244,6 @@ fn enc_ioev(events: &[IoEvent]) -> Vec<u8> {
         put_u32(&mut out, ev.window.len() as u32);
         out.extend_from_slice(&ev.window);
     }
-    out
-}
-
-fn enc_run(retired: u64, engine: Engine) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    put_u64(&mut out, retired);
-    out.push(engine.code());
-    out.extend_from_slice(&[0u8; 7]);
     out
 }
 
@@ -381,15 +366,11 @@ fn dec_ioev(buf: &[u8]) -> Result<Vec<IoEvent>, SnapshotError> {
     Ok(events)
 }
 
-fn dec_run(buf: &[u8]) -> Result<(u64, Engine), SnapshotError> {
+fn dec_run(buf: &[u8]) -> Result<u64, SnapshotError> {
     let mut r = Rd::new(buf, "RUN");
     let retired = r.u64()?;
-    let e = r.u8()?;
-    let engine =
-        Engine::from_code(e).ok_or_else(|| r.corrupt(format!("unknown engine byte {e:#04x}")))?;
-    r.pad_zero(7)?;
     r.done()?;
-    Ok((retired, engine))
+    Ok(retired)
 }
 
 fn dec_stat(buf: &[u8]) -> Result<ExecStats, SnapshotError> {
@@ -410,17 +391,10 @@ impl Snapshot {
     /// Checkpoints any engine. A jet capture writes the flat resident
     /// mirror back into sparse memory, so a jet capture of an
     /// equivalent run serialises to exactly the bytes a reference
-    /// capture does (modulo the provenance byte).
+    /// capture does.
     #[must_use]
     pub fn capture<M: Machine>(m: &M) -> Snapshot {
-        Snapshot { state: m.capture(), engine: M::ENGINE, fs: None }
-    }
-
-    /// Attaches the interpreter-level filesystem model.
-    #[must_use]
-    pub fn with_fs(mut self, fs: FsState) -> Snapshot {
-        self.fs = Some(fs);
-        self
+        Snapshot { state: m.capture() }
     }
 
     /// The retire count the checkpoint was taken at.
@@ -442,21 +416,18 @@ impl Snapshot {
         s
     }
 
-    /// Serialises to format v1 bytes. Deterministic: equal observable
+    /// Serialises to format v2 bytes. Deterministic: equal observable
     /// states produce identical bytes, on any host, under either
     /// capturing engine.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut sections: Vec<([u8; 4], Vec<u8>)> = vec![
+        let sections = [
             (TAG_CPU, enc_cpu(&self.state)),
             (TAG_MEM, enc_mem(&self.state.mem)),
             (TAG_IOEV, enc_ioev(&self.state.io_events)),
-            (TAG_RUN, enc_run(self.state.instructions_retired, self.engine)),
+            (TAG_RUN, self.state.instructions_retired.to_le_bytes().to_vec()),
             (TAG_STAT, enc_stat(&self.state.stats)),
         ];
-        if let Some(fs) = &self.fs {
-            sections.push((TAG_FS, basis::snap::encode_fs(fs)));
-        }
 
         let table_end = 24 + sections.len() * 20;
         let body: usize = sections.iter().map(|(_, p)| p.len()).sum();
@@ -480,7 +451,7 @@ impl Snapshot {
         out
     }
 
-    /// Parses format v1 bytes.
+    /// Parses format v2 bytes.
     ///
     /// # Errors
     ///
@@ -522,7 +493,6 @@ impl Snapshot {
         let mut ioev = None;
         let mut run = None;
         let mut stat = None;
-        let mut fs = None;
         for i in 0..count {
             let entry = &bytes[24 + i * 20..24 + (i + 1) * 20];
             let tag: [u8; 4] = entry[..4].try_into().expect("4 bytes");
@@ -558,7 +528,6 @@ impl Snapshot {
                 TAG_IOEV => ioev = Some(payload),
                 TAG_RUN => run = Some(payload),
                 TAG_STAT => stat = Some(payload),
-                TAG_FS => fs = Some(payload),
                 _ => {
                     return Err(SnapshotError::Table {
                         detail: format!("unknown section {:?}", String::from_utf8_lossy(&tag)),
@@ -571,17 +540,10 @@ impl Snapshot {
         dec_cpu(cpu.ok_or(SnapshotError::MissingSection { tag: "CPU " })?, &mut state)?;
         dec_mem(mem.ok_or(SnapshotError::MissingSection { tag: "MEM " })?, &mut state.mem)?;
         state.io_events = dec_ioev(ioev.ok_or(SnapshotError::MissingSection { tag: "IOEV" })?)?;
-        let (retired, engine) =
+        state.instructions_retired =
             dec_run(run.ok_or(SnapshotError::MissingSection { tag: "RUN " })?)?;
-        state.instructions_retired = retired;
         state.stats = dec_stat(stat.ok_or(SnapshotError::MissingSection { tag: "STAT" })?)?;
-        let fs = match fs {
-            Some(payload) => Some(basis::snap::decode_fs(payload).map_err(|detail| {
-                SnapshotError::Corrupt { section: "FS", detail }
-            })?),
-            None => None,
-        };
-        Ok(Snapshot { state, engine, fs })
+        Ok(Snapshot { state })
     }
 
     /// Writes the snapshot via a `.tmp` sibling plus rename, so a crash
@@ -620,8 +582,9 @@ mod tests {
     use ag32::{Func, Reg, Ri};
     use jet::Jet;
 
-    /// A program exercising memory, flags, I/O ports and interrupts.
-    fn busy_state() -> State {
+    /// A program exercising memory, flags, I/O ports and interrupts,
+    /// booted but not yet run.
+    fn busy_boot() -> State {
         let mut a = Assembler::new(0);
         let r = Reg::new;
         a.li(r(1), 0xDEAD);
@@ -636,6 +599,12 @@ mod tests {
         s.mem.write_bytes(0, &a.assemble().expect("assembles"));
         s.data_in = 0x5511;
         s.io_window = (0x2000, 8);
+        s
+    }
+
+    /// [`busy_boot`] run to its halt.
+    fn busy_state() -> State {
+        let mut s = busy_boot();
         s.run(100);
         assert!(s.is_halted());
         assert!(!s.io_events.is_empty());
@@ -650,7 +619,6 @@ mod tests {
         assert_eq!(bytes, Snapshot::capture(&s).to_bytes(), "capture is deterministic");
 
         let back = Snapshot::from_bytes(&bytes).expect("decodes");
-        assert_eq!(back.engine, Engine::Ref);
         let restored = back.restore();
         assert!(restored.isa_visible_eq(&s));
         assert_eq!(restored.instructions_retired, s.instructions_retired);
@@ -660,31 +628,11 @@ mod tests {
 
     #[test]
     fn jet_and_ref_captures_serialise_identically() {
-        let mut boot = busy_state();
-        // Rewind to a fresh image: rebuild the same program state.
-        boot = Snapshot::capture(&boot).restore();
-        let ref_bytes = Snapshot::capture(&boot).to_bytes();
-        let jet_bytes = Snapshot::capture(&Jet::from_state(&boot)).to_bytes();
-        // Engine provenance differs (RUN section), everything else must
-        // agree — compare after normalising the engine byte.
-        let ref_snap = Snapshot::from_bytes(&ref_bytes).unwrap();
-        let jet_snap = Snapshot::from_bytes(&jet_bytes).unwrap();
-        assert_eq!(jet_snap.engine, Engine::Jet);
-        assert!(ref_snap.state.isa_visible_eq(&jet_snap.state));
-        assert_eq!(
-            Snapshot { engine: Engine::Ref, ..jet_snap }.to_bytes(),
-            ref_bytes,
-            "identical states serialise to identical bytes"
-        );
-    }
-
-    #[test]
-    fn fs_section_roundtrips() {
-        let mut fs = FsState::stdin_only(&["prog"], b"stdin bytes");
-        fs.write(1, b"partial stdout").unwrap();
-        let snap = Snapshot::capture(&busy_state()).with_fs(fs.clone());
-        let back = Snapshot::from_bytes(&snap.to_bytes()).expect("decodes");
-        assert_eq!(back.fs.as_ref(), Some(&fs));
+        let mut jet = Jet::from_state(&busy_boot());
+        jet.run(100);
+        let ref_bytes = Snapshot::capture(&busy_state()).to_bytes();
+        let jet_bytes = Snapshot::capture(&jet).to_bytes();
+        assert_eq!(jet_bytes, ref_bytes, "ref and jet runs capture identical bytes");
     }
 
     #[test]

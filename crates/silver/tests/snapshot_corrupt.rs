@@ -7,11 +7,10 @@
 
 use ag32::asm::Assembler;
 use ag32::{Func, Instr, Reg, Ri, State};
-use basis::FsState;
 use silver::snapshot::{checksum64, Snapshot, SnapshotError};
 
-/// A snapshot with every section present (including FS) and at least
-/// two memory pages and one I/O event, so each corruption has a target.
+/// A snapshot with at least two memory pages and one I/O event, so
+/// each corruption has a target.
 fn full_snapshot_bytes() -> Vec<u8> {
     let mut a = Assembler::new(0);
     let r = Reg::new;
@@ -27,23 +26,24 @@ fn full_snapshot_bytes() -> Vec<u8> {
     s.run(100);
     assert!(s.is_halted());
     assert!(!s.io_events.is_empty(), "need an I/O event to corrupt");
-    Snapshot::capture(&s)
-        .with_fs(FsState::stdin_only(&["corrupt"], b"stdin"))
-        .to_bytes()
+    Snapshot::capture(&s).to_bytes()
+}
+
+/// Byte position of the table entry for the section tagged `tag`.
+fn entry(bytes: &[u8], tag: &[u8; 4]) -> usize {
+    let count = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
+    (0..count)
+        .map(|i| 24 + i * 20)
+        .find(|&e| &bytes[e..e + 4] == tag)
+        .unwrap_or_else(|| panic!("section {:?} not found", String::from_utf8_lossy(tag)))
 }
 
 /// Finds `(offset, len)` of the section tagged `tag` in the table.
 fn section(bytes: &[u8], tag: &[u8; 4]) -> (usize, usize) {
-    let count = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-    for i in 0..count {
-        let e = &bytes[24 + i * 20..24 + (i + 1) * 20];
-        if &e[..4] == tag {
-            let off = u64::from_le_bytes(e[4..12].try_into().unwrap()) as usize;
-            let len = u64::from_le_bytes(e[12..20].try_into().unwrap()) as usize;
-            return (off, len);
-        }
-    }
-    panic!("section {:?} not found", String::from_utf8_lossy(tag));
+    let e = entry(bytes, tag);
+    let off = u64::from_le_bytes(bytes[e + 4..e + 12].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[e + 12..e + 20].try_into().unwrap()) as usize;
+    (off, len)
 }
 
 /// Recomputes the body checksum after a deliberate corruption, so the
@@ -64,12 +64,15 @@ fn wrong_magic_is_rejected() {
 
 #[test]
 fn wrong_version_is_rejected() {
-    let mut bytes = full_snapshot_bytes();
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    assert!(matches!(
-        Snapshot::from_bytes(&bytes),
-        Err(SnapshotError::BadVersion { found: 99 })
-    ));
+    // Version 1 carried an engine byte and an optional `FS  ` section.
+    for version in [1u32, 99] {
+        let mut bytes = full_snapshot_bytes();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapshotError::BadVersion { found }) if found == version => {}
+            other => panic!("expected BadVersion {{ found: {version} }}, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -99,12 +102,13 @@ fn unsealed_bit_flips_hit_the_checksum() {
 
 #[test]
 fn unknown_section_tag_is_rejected() {
-    let mut bytes = full_snapshot_bytes();
-    let count = u32::from_le_bytes(bytes[20..24].try_into().unwrap()) as usize;
-    assert!(count >= 1);
-    bytes[24..28].copy_from_slice(b"ZZZ ");
-    reseal(&mut bytes);
-    assert!(matches!(Snapshot::from_bytes(&bytes), Err(SnapshotError::Table { .. })));
+    // `FS  ` (format v1's optional filesystem section) is unknown in v2.
+    for tag in [b"ZZZ ", b"FS  "] {
+        let mut bytes = full_snapshot_bytes();
+        bytes[24..28].copy_from_slice(tag);
+        reseal(&mut bytes);
+        assert!(matches!(Snapshot::from_bytes(&bytes), Err(SnapshotError::Table { .. })));
+    }
 }
 
 #[test]
@@ -153,8 +157,10 @@ fn corrupt_ioev_section_is_typed() {
 #[test]
 fn corrupt_run_section_is_typed() {
     let mut bytes = full_snapshot_bytes();
-    let (off, _) = section(&bytes, b"RUN ");
-    bytes[off + 8] = 9; // engine byte: only 0 (ref) and 1 (jet) exist
+    // `RUN ` is the bare u64 retire count: one byte more (the start of
+    // the next section) is a trailing byte, not a v1 engine byte.
+    let len_at = entry(&bytes, b"RUN ") + 12;
+    bytes[len_at..len_at + 8].copy_from_slice(&9u64.to_le_bytes());
     reseal(&mut bytes);
     match Snapshot::from_bytes(&bytes) {
         Err(SnapshotError::Corrupt { section: "RUN", .. }) => {}
@@ -175,24 +181,10 @@ fn corrupt_stat_section_is_typed() {
 }
 
 #[test]
-fn corrupt_fs_section_is_typed() {
-    let mut bytes = full_snapshot_bytes();
-    let (off, _) = section(&bytes, b"FS  ");
-    // argc inflated far past the payload: the FS decoder must report
-    // it as a typed FS corruption, not walk off the end.
-    bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-    reseal(&mut bytes);
-    match Snapshot::from_bytes(&bytes) {
-        Err(SnapshotError::Corrupt { section: "FS", .. }) => {}
-        other => panic!("expected Corrupt FS, got {other:?}"),
-    }
-}
-
-#[test]
 fn missing_mandatory_section_is_typed() {
     // Rebuild the file from its own sections, with STAT dropped.
     let bytes = full_snapshot_bytes();
-    let kept: [&[u8; 4]; 5] = [b"CPU ", b"MEM ", b"IOEV", b"RUN ", b"FS  "];
+    let kept: [&[u8; 4]; 4] = [b"CPU ", b"MEM ", b"IOEV", b"RUN "];
     let payloads: Vec<&[u8]> = kept
         .iter()
         .map(|tag| {

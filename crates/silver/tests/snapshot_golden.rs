@@ -1,16 +1,16 @@
-//! Golden fixture pinning snapshot format v1: a fixed program,
-//! checkpointed at a fixed retire count with a fixed filesystem model,
-//! must serialise to the exact bytes checked in at
-//! `tests/golden/format_v1.snap`. Any byte-level drift — field order,
-//! padding, section layout, checksum — fails here before it can break
-//! old checkpoints in the field. Re-bless deliberately (with a version
-//! bump if the change is real) via
+//! Golden fixture pinning snapshot format v2: a fixed program,
+//! checkpointed at a fixed retire count, must serialise to the exact
+//! bytes checked in at `tests/golden/format_v2.snap`. Any byte-level
+//! drift — field order, padding, section layout, checksum — fails here
+//! before it can break old checkpoints in the field. Re-bless
+//! deliberately (with a version bump if the change is real) via
 //! `SILVER_BLESS=1 cargo test -p silver --test snapshot_golden`.
 
 use ag32::asm::Assembler;
 use ag32::{Func, Instr, Reg, Ri, State};
-use basis::FsState;
 use silver::snapshot::{Snapshot, MAGIC, VERSION};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/format_v2.snap");
 
 /// A fixed program exercising every section: memory stores (MEM),
 /// port output and interrupts (IOEV), flag-setting ALU work (CPU).
@@ -39,13 +39,11 @@ fn fixed_snapshot() -> Snapshot {
     // run, which is the case the format exists for.
     s.run(6);
     assert!(!s.is_halted(), "checkpoint must be mid-run");
-    let mut fs = FsState::stdin_only(&["golden"], b"golden stdin\n");
-    fs.write(1, b"partial stdout").expect("fs write");
-    Snapshot::capture(&s).with_fs(fs)
+    Snapshot::capture(&s)
 }
 
 #[test]
-fn format_v1_bytes_are_pinned() {
+fn format_v2_bytes_are_pinned() {
     let bytes = fixed_snapshot().to_bytes();
 
     // Structural sanity regardless of the golden file.
@@ -53,12 +51,11 @@ fn format_v1_bytes_are_pinned() {
     assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), VERSION);
     assert_eq!(bytes, fixed_snapshot().to_bytes(), "encoding is deterministic");
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/format_v1.snap");
     if std::env::var("SILVER_BLESS").as_deref() == Ok("1") {
-        std::fs::write(golden_path, &bytes).expect("bless golden");
+        std::fs::write(GOLDEN, &bytes).expect("bless golden");
         return;
     }
-    let golden = std::fs::read(golden_path)
+    let golden = std::fs::read(GOLDEN)
         .expect("golden file missing; run with SILVER_BLESS=1 to create it");
     assert_eq!(
         bytes, golden,
@@ -68,13 +65,11 @@ fn format_v1_bytes_are_pinned() {
 
 #[test]
 fn golden_bytes_still_load_and_resume() {
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/format_v1.snap");
-    let Ok(golden) = std::fs::read(golden_path) else {
+    let Ok(golden) = std::fs::read(GOLDEN) else {
         return; // blessing run creates it first
     };
     let snap = Snapshot::from_bytes(&golden).expect("golden snapshot loads");
     assert_eq!(snap.retired(), 6);
-    assert!(snap.fs.is_some(), "golden snapshot carries the FS section");
 
     // The resumed run finishes exactly like the uninterrupted one.
     let mut full = fixed_state();

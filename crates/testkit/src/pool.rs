@@ -311,12 +311,6 @@ impl<T: Send + 'static> WorkerPool<T> {
         }
     }
 
-    /// Worker slots ever spawned (including stopped/joined ones).
-    #[must_use]
-    pub fn spawned(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Joins every worker. Close the queue (or stop each worker) first,
     /// or this blocks forever.
     ///

@@ -393,14 +393,21 @@ if grep -rn 'exit_code_addr' --include='*.rs' crates tests examples \
     echo "the exit slot is touched outside crates/{basis,cakeml}; use basis::classify_exit" >&2
     exit 1
 fi
-echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate, one divergence replay, one lockstep strength"
+# A checkpoint is the machine state (ag32::State) and nothing else: no
+# engine provenance on ag32::Machine and no filesystem section, so ref
+# and jet captures of one run are the same bytes.
+if grep -nE 'const ENGINE\b' crates/ag32/src/machine.rs \
+    || grep -rnE '\bTAG_FS\b|fn with_fs\b|pub mod snap\b' --include='*.rs' crates; then
+    echo "a checkpoint records more than the machine state; a snapshot holds only ag32::State" >&2
+    exit 1
+fi
+echo "ok: one run loop, one retire observer, one engine enum, one exit predicate, one circuit machine, one cycle observer, one halt predicate, one divergence replay, one lockstep strength, one checkpoint state"
 
 echo "== snapshot hygiene guard =="
 # The snapshot format must stay deterministic: the writers may not read
 # the clock, and sparse memory must be serialised in canonical page-id
 # order (all-zero pages omitted) so ref and jet captures byte-match.
-if grep -nE 'std::time|SystemTime|Instant' \
-    crates/silver/src/snapshot.rs crates/basis/src/snap.rs; then
+if grep -nE 'std::time|SystemTime|Instant' crates/silver/src/snapshot.rs; then
     echo "snapshot writers must not read the clock" >&2
     exit 1
 fi
